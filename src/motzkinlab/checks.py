@@ -6,7 +6,7 @@ the first offending index for inspection.
 
 from dataclasses import dataclass
 
-from .classify import Mod8Kind, classify_div5, classify_mod3, classify_mod8
+from .classify import classify_div5, classify_mod3, classify_mod8
 from .engines import ensure_within_ceiling, iter_motzkin_exact
 
 SUPPORTED_MODULI = (2, 3, 4, 5, 8)
@@ -14,20 +14,9 @@ SUPPORTED_MODULI = (2, 3, 4, 5, 8)
 
 def prediction_matches(modulus: int, n: int, residue: int) -> bool:
     """Does the digit prediction for index n agree with M(n) mod modulus?"""
-    if modulus == 2:
-        return classify_mod8(n).is_even == (residue == 0)
-    if modulus == 4:
-        kind = classify_mod8(n).kind
-        if kind is Mod8Kind.ODD:
-            return residue % 2 == 1
-        if kind is Mod8Kind.RESIDUE_4:
-            return residue == 0
-        return residue == 2
-    if modulus == 8:
-        outcome = classify_mod8(n)
-        if outcome.kind is Mod8Kind.ODD:
-            return residue % 2 == 1
-        return residue == outcome.kind.even_residue
+    if modulus in (2, 4, 8):
+        predicted = classify_mod8(n).kind.residue_mod(modulus)
+        return residue % 2 == 1 if predicted is None else residue == predicted
     if modulus == 3:
         return classify_mod3(n) == residue
     if modulus == 5:

@@ -107,10 +107,23 @@ class Mod8Kind(enum.Enum):
     RESIDUE_4 = "4"
     RESIDUE_6 = "6"
 
+    def __init__(self, value: str) -> None:
+        # Residues mod 2, 4 and 8, fixed per member so lookups stay cheap in
+        # per-index loops.
+        self._residues = ({2: 1, 4: None, 8: None} if value == "odd"
+                          else {modulus: int(value) % modulus for modulus in (2, 4, 8)})
+
     @property
     def even_residue(self) -> "int | None":
         """2, 4 or 6 for the even kinds, None for ODD."""
-        return None if self is Mod8Kind.ODD else int(self.value)
+        return self._residues[8]
+
+    def residue_mod(self, modulus: int) -> "int | None":
+        """M(n) mod 2, 4 or 8 for this kind; None where only oddness is known."""
+        try:
+            return self._residues[modulus]
+        except KeyError:
+            raise ValueError(f"modulus must be 2, 4 or 8, got {modulus}") from None
 
 
 class Mod8Witness(NamedTuple):

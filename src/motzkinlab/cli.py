@@ -12,7 +12,7 @@ import sys
 from contextlib import contextmanager
 
 from . import checks, density, engines
-from .classify import Mod8Kind, classify_div5, classify_mod3, classify_mod8
+from .classify import classify_div5, classify_mod3, classify_mod8
 
 EXIT_OK = 0
 EXIT_VERIFICATION_FAILED = 1
@@ -67,12 +67,31 @@ class _Emitter:
 
 
 @contextmanager
+def _unlimited_int_digits():
+    """Lift the interpreter's int->str digit limit, then restore it.
+
+    Exact Motzkin values pass 4300 digits from n = 9029 on.  Builds without
+    ``sys.set_int_max_str_digits`` have no limit to lift.
+    """
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(previous)
+
+
+@contextmanager
 def _emitter(args, columns):
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as handle:
-            yield _Emitter(columns, args.format, handle)
-    else:
-        yield _Emitter(columns, args.format, sys.stdout)
+    with _unlimited_int_digits():
+        if args.out:
+            with open(args.out, "w", encoding="utf-8", newline="") as handle:
+                yield _Emitter(columns, args.format, handle)
+        else:
+            yield _Emitter(columns, args.format, sys.stdout)
 
 
 def _add_output_options(sub) -> None:
@@ -126,18 +145,11 @@ def _classify_row(modulus: int, n: int):
     if modulus in (2, 4, 8):
         outcome = classify_mod8(n)
         witness = outcome.witness
+        residue = outcome.kind.residue_mod(modulus)
         if modulus == 2:
-            head = (n, 0 if outcome.is_even else 1)
-        elif modulus == 4:
-            if outcome.kind is Mod8Kind.ODD:
-                label = "odd"
-            elif outcome.kind is Mod8Kind.RESIDUE_4:
-                label = "0"
-            else:
-                label = "2"
-            head = (n, label)
+            head = (n, residue)
         else:
-            head = (n, outcome.kind.value)
+            head = (n, "odd" if residue is None else str(residue))
         tail = (witness.eps, witness.delta, witness.i, witness.j) if witness \
             else (None, None, None, None)
         if modulus == 8:
@@ -192,10 +204,7 @@ def _cmd_density(parser, args) -> int:
         parser.error("-N/--horizon is required unless --closed")
     if args.horizon < 1:
         parser.error("-N/--horizon must be at least 1")
-    if args.parts < 1:
-        parser.error("--parts must be at least 1")
-    report = density.empirical_density(args.selector, args.horizon,
-                                       parts=args.parts)
+    report = density.empirical_density(args.selector, args.horizon)
     with _emitter(args, _EMPIRICAL_COLUMNS) as emit:
         emit.row((
             report.label,
@@ -205,7 +214,7 @@ def _cmd_density(parser, args) -> int:
             report.observed_count,
             _decimal(report.observed_ratio),
             _decimal(report.abs_discrepancy),
-            None if report.error_bound is None else _decimal(report.error_bound),
+            _decimal(report.error_bound),
         ))
     return EXIT_OK
 
@@ -258,15 +267,8 @@ def _build_parser() -> argparse.ArgumentParser:
                       help="class label (see 'density table'), or 'table'")
     dens.add_argument("-N", "--horizon", type=int, default=None,
                       help="count class members among n < N")
-    mode = dens.add_mutually_exclusive_group()
-    mode.add_argument("--closed", action="store_true",
+    dens.add_argument("--closed", action="store_true",
                       help="emit only the exact limit")
-    mode.add_argument("--empirical", action="store_true",
-                      help="emit the finite-N report")
-    mode.add_argument("--both", action="store_true",
-                      help="limit plus finite-N report (default)")
-    dens.add_argument("--parts", type=int, default=1,
-                      help="count over this many consecutive partitions")
     _add_output_options(dens)
     dens.set_defaults(func=_cmd_density)
 

@@ -11,10 +11,17 @@ other so they can cross-check:
 * empirical counts obtained by streaming every index through the digit
   kernels (:func:`empirical_density`), plus the one route that really
   computes Motzkin residues (:func:`empirical_residue_distribution`).
+
+Each class label has one entry in an ordered registry that holds its
+limit, its per-chunk kernel count and its error bound.  Classes that are
+disjoint unions of :class:`SetSpec` families, and bare SetSpec selectors,
+derive the limit and bound by summing over their specs.
 """
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -169,52 +176,108 @@ def _t01_ceiling(n_max: int) -> int:
     return 2 << _floor_log(max(n_max, 1), 3)
 
 
-# The exact limit densities, stated outright.  The test suite re-derives
-# every row from closed_density and the class structure.
-_DENSITY_TABLE: "tuple[tuple[str, Fraction], ...]" = (
-    ("even", Fraction(1, 3)),
-    ("eps1_delta1", Fraction(1, 12)),
-    ("eps1_delta2", Fraction(1, 12)),
-    ("eps3_delta1", Fraction(1, 12)),
-    ("eps3_delta2", Fraction(1, 12)),
-    ("mod8=4", Fraction(1, 6)),
-    ("mod8=2", Fraction(1, 12)),
-    ("mod8=6", Fraction(1, 12)),
-    ("mod4=2", Fraction(1, 6)),
-    ("mod3=0", Fraction(1, 1)),
-    ("mod3=1", Fraction(0, 1)),
-    ("mod3=2", Fraction(0, 1)),
-    ("div5", Fraction(1, 10)),
-    ("div5_form1", Fraction(1, 120)),
-    ("div5_form2", Fraction(1, 24)),
-    ("div5_form3", Fraction(1, 24)),
-    ("div5_form4", Fraction(1, 120)),
-    ("t01", Fraction(0, 1)),
-)
+class _ClassEntry(NamedTuple):
+    """Everything the density lab knows about one residue class.
 
-_EPS_DELTA_LABELS = {
-    "eps1_delta1": (1, 1),
-    "eps1_delta2": (1, 2),
-    "eps3_delta1": (3, 1),
-    "eps3_delta2": (3, 2),
-}
+    ``count`` counts the members in one int64 chunk of indices through a
+    :mod:`motzkinlab.bulk` kernel, looked up on ``bulk`` at call time;
+    ``bound(n_max)`` caps |members in [0, n_max] - n_max * limit|.
+    """
 
-SELECTORS: "tuple[str, ...]" = tuple(label for label, _ in _DENSITY_TABLE)
+    limit: Fraction
+    count: "Callable[[np.ndarray], int]"
+    bound: "Callable[[int], Fraction]"
+
+
+def _spec_union(specs, count) -> _ClassEntry:
+    """Entry for a disjoint union of SetSpec families: limits and bounds add."""
+    specs = tuple(specs)
+    return _ClassEntry(
+        limit=sum(map(set_density, specs), Fraction(0)),
+        count=count,
+        bound=lambda n_max: sum(count_error_bound(n_max, spec) for spec in specs),
+    )
+
+
+def _set_entry(spec: SetSpec) -> _ClassEntry:
+    return _spec_union([spec], lambda arr: int(bulk.in_set_mask(arr, spec).sum()))
+
+
+def _coded(kernel: str, code: int) -> "Callable[[np.ndarray], int]":
+    """Chunk counter for the indices where ``bulk.<kernel>`` yields ``code``."""
+    return lambda arr: int((getattr(bulk, kernel)(arr) == code).sum())
+
+
+def _build_registry() -> "dict[str, _ClassEntry]":
+    """Every class label, in table order, with its entry.
+
+    Limits and bounds of spec unions are derived from their specs; the
+    mod 3 and zero-one entries state theirs.  The test suite checks every
+    limit against hand-computed rationals.
+    """
+    mod8 = MOD8_CLASS_SPECS
+    registry = {"even": _spec_union(
+        mod8.values(), lambda arr: int((bulk.mod8_kind_codes(arr) != bulk.ODD_CODE).sum()))}
+    for (eps, delta), spec in mod8.items():
+        registry[f"eps{eps}_delta{delta}"] = _set_entry(spec)
+    registry["mod8=4"] = _spec_union([mod8[(1, 1)], mod8[(3, 2)]], _coded("mod8_kind_codes", 4))
+    two_six_specs = [mod8[(1, 2)], mod8[(3, 1)]]
+
+    def count_two_or_six(arr):
+        codes = bulk.mod8_kind_codes(arr)
+        return int(((codes == 2) | (codes == 6)).sum())
+
+    two_or_six = _spec_union(two_six_specs, count_two_or_six)
+
+    # Half the two-or-six population each, give or take 1/2 per exponent
+    # layer: popcount parity is balanced within 1 on every prefix of i.
+    def half_bound(n_max):
+        slack = Fraction(sum(_layer_count(n_max, spec) for spec in two_six_specs), 2)
+        return two_or_six.bound(n_max) / 2 + slack
+
+    for code in (2, 6):
+        registry[f"mod8={code}"] = _ClassEntry(
+            two_or_six.limit / 2, _coded("mod8_kind_codes", code), half_bound)
+    registry["mod4=2"] = two_or_six
+    # M(n) mod 3 is nonzero only where n // 3 or n // 3 + 1 is a zero-one
+    # number: at most two zero-one counts per nonzero residue, and for
+    # residue 0 both of those plus one.
+    registry["mod3=0"] = _ClassEntry(
+        Fraction(1), _coded("mod3_values", 0), lambda n_max: 3 * _t01_ceiling(n_max))
+    for value in (1, 2):
+        registry[f"mod3={value}"] = _ClassEntry(
+            Fraction(0), _coded("mod3_values", value), lambda n_max: 2 * _t01_ceiling(n_max))
+    registry["div5"] = _spec_union(
+        DIV5_FORM_SPECS, lambda arr: int((bulk.div5_form_codes(arr) != 0).sum()))
+    for form, spec in enumerate(DIV5_FORM_SPECS, start=1):
+        registry[f"div5_form{form}"] = _spec_union([spec], _coded("div5_form_codes", form))
+    registry["t01"] = _ClassEntry(
+        Fraction(0), lambda arr: int(bulk.t01_mask(arr).sum()), _t01_ceiling)
+    return registry
+
+
+_REGISTRY = _build_registry()
+
+SELECTORS: "tuple[str, ...]" = tuple(_REGISTRY)
+
+
+def _entry(selector) -> _ClassEntry:
+    """Registry entry for a class label; a bare SetSpec gets one built on demand."""
+    if isinstance(selector, SetSpec):
+        return _set_entry(selector)
+    if isinstance(selector, str) and selector in _REGISTRY:
+        return _REGISTRY[selector]
+    raise ValueError(f"unknown class selector {selector!r}")
 
 
 def density_table() -> "list[tuple[str, Fraction]]":
     """All class labels with their exact limit densities."""
-    return list(_DENSITY_TABLE)
+    return [(label, entry.limit) for label, entry in _REGISTRY.items()]
 
 
 def density_limit(selector) -> Fraction:
     """Exact limit density for a class label or an arbitrary SetSpec."""
-    if isinstance(selector, SetSpec):
-        return set_density(selector)
-    for label, value in _DENSITY_TABLE:
-        if label == selector:
-            return value
-    raise ValueError(f"unknown class selector {selector!r}")
+    return _entry(selector).limit
 
 
 def _spec_label(spec: SetSpec) -> str:
@@ -224,84 +287,18 @@ def _spec_label(spec: SetSpec) -> str:
     )
 
 
-def _chunk_counter(selector):
-    """Per-chunk counting callable for a selector; raises on unknown labels."""
-    if isinstance(selector, SetSpec):
-        return lambda arr: int(bulk.in_set_mask(arr, selector).sum())
-    if selector == "even":
-        return lambda arr: int((bulk.mod8_kind_codes(arr) != bulk.ODD_CODE).sum())
-    if selector in ("mod8=2", "mod8=4", "mod8=6"):
-        code = int(selector[-1])
-        return lambda arr: int((bulk.mod8_kind_codes(arr) == code).sum())
-    if selector == "mod4=2":
-        def count(arr):
-            codes = bulk.mod8_kind_codes(arr)
-            return int(((codes == 2) | (codes == 6)).sum())
-        return count
-    if selector in ("mod3=0", "mod3=1", "mod3=2"):
-        value = int(selector[-1])
-        return lambda arr: int((bulk.mod3_values(arr) == value).sum())
-    if selector == "div5":
-        return lambda arr: int((bulk.div5_form_codes(arr) != 0).sum())
-    if selector in ("div5_form1", "div5_form2", "div5_form3", "div5_form4"):
-        form = int(selector[-1])
-        return lambda arr: int((bulk.div5_form_codes(arr) == form).sum())
-    if selector in _EPS_DELTA_LABELS:
-        spec = MOD8_CLASS_SPECS[_EPS_DELTA_LABELS[selector]]
-        return lambda arr: int(bulk.in_set_mask(arr, spec).sum())
-    if selector == "t01":
-        return lambda arr: int(bulk.t01_mask(arr).sum())
-    raise ValueError(f"unknown class selector {selector!r}")
-
-
 def count_class_in_range(selector, lo: int, hi: int) -> int:
     """Class members with lo <= n < hi, streamed through the digit kernels."""
     if not 0 <= lo <= hi:
         raise ValueError(f"need 0 <= lo <= hi, got [{lo}, {hi})")
     if hi > bulk.MAX_INDEX:
         raise ValueError(f"horizon must be at most {bulk.MAX_INDEX}")
-    counter = _chunk_counter(selector)
+    count = _entry(selector).count
     total = 0
     for start in range(lo, hi, _CHUNK):
         stop = min(start + _CHUNK, hi)
-        total += counter(np.arange(start, stop, dtype=np.int64))
+        total += count(np.arange(start, stop, dtype=np.int64))
     return total
-
-
-def _report_error_bound(selector, horizon: int) -> "Fraction | None":
-    """Proved cap on |observed_ratio - limit| for the selectors that have one."""
-    n_max = horizon - 1
-    if isinstance(selector, SetSpec):
-        return count_error_bound(n_max, selector) / horizon
-    spec_union = {
-        "even": list(MOD8_CLASS_SPECS.values()),
-        "mod8=4": [MOD8_CLASS_SPECS[(1, 1)], MOD8_CLASS_SPECS[(3, 2)]],
-        "mod4=2": [MOD8_CLASS_SPECS[(1, 2)], MOD8_CLASS_SPECS[(3, 1)]],
-        "div5": list(DIV5_FORM_SPECS),
-        "div5_form1": [DIV5_FORM_SPECS[0]],
-        "div5_form2": [DIV5_FORM_SPECS[1]],
-        "div5_form3": [DIV5_FORM_SPECS[2]],
-        "div5_form4": [DIV5_FORM_SPECS[3]],
-    }
-    if selector in _EPS_DELTA_LABELS:
-        spec_union[selector] = [MOD8_CLASS_SPECS[_EPS_DELTA_LABELS[selector]]]
-    if selector in spec_union:
-        total = sum(count_error_bound(n_max, spec) for spec in spec_union[selector])
-        return Fraction(total) / horizon
-    if selector in ("mod8=2", "mod8=6"):
-        # Half the (1,2)+(3,1) population, give or take 1/2 per exponent
-        # layer: popcount parity is balanced within 1 on every prefix of i.
-        specs = [MOD8_CLASS_SPECS[(1, 2)], MOD8_CLASS_SPECS[(3, 1)]]
-        half = sum(count_error_bound(n_max, spec) for spec in specs) / 2
-        slack = Fraction(sum(_layer_count(n_max, spec) for spec in specs), 2)
-        return (half + slack) / horizon
-    if selector == "t01":
-        return Fraction(_t01_ceiling(n_max), horizon)
-    if selector in ("mod3=1", "mod3=2"):
-        return Fraction(2 * _t01_ceiling(n_max), horizon)
-    if selector == "mod3=0":
-        return Fraction(3 * _t01_ceiling(n_max), horizon)
-    return None
 
 
 @dataclass(frozen=True)
@@ -329,33 +326,21 @@ class DensityReport:
         return float(abs(Fraction(self.observed_count, self.horizon) - self.limit_value))
 
 
-def empirical_density(selector, horizon: int, *, parts: int = 1) -> DensityReport:
+def empirical_density(selector, horizon: int) -> DensityReport:
     """Count class members among n < horizon and report against the limit.
 
     Every index streams through the digit kernels; no Motzkin number is
-    computed, so horizons far beyond the engine ceilings are fine.  ``parts``
-    splits [0, horizon) into consecutive ranges counted independently and
-    summed; counts are integers, so any partition yields the identical
-    report.
+    computed, so horizons far beyond the engine ceilings are fine.
     """
     if horizon < 1:
         raise ValueError(f"horizon must be at least 1, got {horizon}")
-    if parts < 1:
-        raise ValueError(f"parts must be at least 1, got {parts}")
-    limit_value = density_limit(selector)
-    label = _spec_label(selector) if isinstance(selector, SetSpec) else selector
-    splits = [horizon * part // parts for part in range(parts + 1)]
-    count = sum(
-        count_class_in_range(selector, lo, hi)
-        for lo, hi in zip(splits, splits[1:])
-    )
-    bound = _report_error_bound(selector, horizon)
+    entry = _entry(selector)
     return DensityReport(
-        label=label,
-        limit_value=limit_value,
+        label=_spec_label(selector) if isinstance(selector, SetSpec) else selector,
+        limit_value=entry.limit,
         horizon=horizon,
-        observed_count=count,
-        error_bound=None if bound is None else float(bound),
+        observed_count=count_class_in_range(selector, 0, horizon),
+        error_bound=float(Fraction(entry.bound(horizon - 1), horizon)),
     )
 
 

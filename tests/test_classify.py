@@ -146,6 +146,15 @@ class TestClassifyMod8:
                 assert value % 2 == 1, n
             else:
                 assert value % 8 == outcome.kind.even_residue, n
+            assert outcome.kind.residue_mod(2) == value % 2, n
+            for modulus in (4, 8):
+                expected = None if value % 2 else value % modulus
+                assert outcome.kind.residue_mod(modulus) == expected, n
+
+    @pytest.mark.parametrize("modulus", [0, 3, 16])
+    def test_residue_mod_rejects_other_moduli(self, modulus):
+        with pytest.raises(ValueError):
+            Mod8Kind.RESIDUE_4.residue_mod(modulus)
 
     def test_witness_reconstructs_index(self):
         for n in range(3000):

@@ -1,16 +1,27 @@
+import itertools
 import json
+import sys
 
 import pytest
 
 from motzkinlab import checks
 from motzkinlab.cli import main
-from motzkinlab.engines import CEILING_ENV_VAR
+from motzkinlab.engines import CEILING_ENV_VAR, iter_motzkin_exact, motzkin_mod_stream
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def parse_decimal(text: str) -> int:
+    """int() of decimal text of any length, in chunks below the int->str limit."""
+    value = 0
+    for start in range(0, len(text), 1000):
+        chunk = text[start:start + 1000]
+        value = value * 10 ** len(chunk) + int(chunk)
+    return value
 
 
 def csv_rows(out: str):
@@ -85,6 +96,17 @@ class TestCompute:
     def test_bad_modulus(self, capsys):
         assert run(capsys, "compute", "0..5", "--mod", "1")[0] == 2
 
+    def test_values_past_the_int_digit_limit(self, capsys):
+        digit_limit = getattr(sys, "get_int_max_str_digits", lambda: None)
+        before = digit_limit()
+        code, out, _ = run(capsys, "compute", "9029..9031")
+        assert code == 0
+        assert digit_limit() == before
+        _, rows = csv_rows(out)
+        expected = itertools.islice(iter_motzkin_exact(), 9029, 9031)
+        assert [int(r[0]) for r in rows] == [9029, 9030]
+        assert [parse_decimal(r[1]) for r in rows] == list(expected)
+
     def test_ceiling_exit_code(self, capsys, monkeypatch):
         monkeypatch.setenv(CEILING_ENV_VAR, "10")
         code, _, err = run(capsys, "compute", "0..50")
@@ -130,6 +152,23 @@ class TestClassify:
         _, out, _ = run(capsys, "classify", "0..4", "--mod", "4")
         _, rows = csv_rows(out)
         assert [r[1] for r in rows] == ["odd", "odd", "2", "0"]
+
+    @pytest.mark.parametrize("modulus", [2, 4, 8])
+    def test_jsonl_classes_match_residues(self, capsys, modulus):
+        code, out, _ = run(capsys, "classify", "0..2000", "--mod", str(modulus),
+                           "--format", "jsonl")
+        assert code == 0
+        records = [json.loads(line) for line in out.splitlines()]
+        residues = motzkin_mod_stream(8, 2000).values
+        assert [record["n"] for record in records] == list(range(2000))
+        for record, residue in zip(records, residues):
+            if modulus == 2:
+                assert record["residue"] == residue % 2
+                assert type(record["residue"]) is int
+            elif residue % 2:
+                assert record["class"] == "odd"
+            else:
+                assert record["class"] == str(residue % modulus)
 
     def test_unsupported_modulus(self, capsys):
         code, _, err = run(capsys, "classify", "3", "--mod", "7")
@@ -183,18 +222,13 @@ class TestDensity:
         assert float(row["ratio"]) == pytest.approx(4096 / 531440)
 
     def test_even_report(self, capsys):
-        code, out, _ = run(capsys, "density", "even", "-N", "100000", "--both")
+        code, out, _ = run(capsys, "density", "even", "-N", "100000")
         header, rows = csv_rows(out)
         assert code == 0
         row = dict(zip(header, rows[0]))
         assert row["limit"] == "1/3"
         assert float(row["abs_discrepancy"]) <= 1e-4
         assert float(row["error_bound"]) >= float(row["abs_discrepancy"])
-
-    def test_partitioned_run_is_identical(self, capsys):
-        _, base_out, _ = run(capsys, "density", "mod4=2", "-N", "50000")
-        _, split_out, _ = run(capsys, "density", "mod4=2", "-N", "50000", "--parts", "7")
-        assert base_out == split_out
 
     def test_table(self, capsys):
         code, out, _ = run(capsys, "density", "table")
@@ -228,7 +262,10 @@ class TestDensity:
 
     def test_bad_horizon_and_parts(self, capsys):
         assert run(capsys, "density", "even", "-N", "0")[0] == 2
-        assert run(capsys, "density", "even", "-N", "10", "--parts", "0")[0] == 2
+        for removed in (["--parts", "2"], ["--empirical"], ["--both"]):
+            code, _, err = run(capsys, "density", "even", "-N", "10", *removed)
+            assert code == 2
+            assert "unrecognized arguments" in err
 
 
 class TestHarness:

@@ -211,6 +211,15 @@ class TestDensityTable:
         with pytest.raises(ValueError):
             density_limit("mod8=5")
 
+    @pytest.mark.parametrize("selector", [7, ["even"], None])
+    def test_non_label_selectors_are_rejected(self, selector):
+        with pytest.raises(ValueError):
+            density_limit(selector)
+        with pytest.raises(ValueError):
+            count_class_in_range(selector, 0, 10)
+        with pytest.raises(ValueError):
+            empirical_density(selector, 10)
+
 
 def scalar_class_count(selector, lo, hi):
     """Reference counts straight from the scalar classifiers."""
@@ -252,11 +261,6 @@ class TestEmpiricalDensity:
         assert count_class_in_range(selector, 12345, 13345) == scalar_class_count(
             selector, 12345, 13345
         )
-
-    def test_partition_invariance(self):
-        reports = [empirical_density("even", 100_000, parts=parts) for parts in (1, 2, 3, 7, 50)]
-        counts = {report.observed_count for report in reports}
-        assert len(counts) == 1
 
     def test_split_point_additivity(self):
         rng = random.Random(11)
@@ -307,8 +311,6 @@ class TestEmpiricalDensity:
     def test_validation(self):
         with pytest.raises(ValueError):
             empirical_density("even", 0)
-        with pytest.raises(ValueError):
-            empirical_density("even", 10, parts=0)
         with pytest.raises(ValueError):
             empirical_density("no-such-class", 10)
         with pytest.raises(ValueError):
