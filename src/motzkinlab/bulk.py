@@ -66,7 +66,8 @@ def mod8_kind_codes(values) -> np.ndarray:
     for delta in (1, 2):
         units, exponents = factor_out(arr + delta, 4)
         hit = (exponents >= 1) & (units % 2 == 1)
-        assert not (hit & claimed).any(), "overlapping (eps, delta) witnesses"
+        if (hit & claimed).any():
+            raise AssertionError("overlapping (eps, delta) witnesses")
         claimed |= hit
         eps = units & 3
         gives_four = eps == (1 if delta == 1 else 3)
@@ -104,6 +105,7 @@ def div5_form_codes(values) -> np.ndarray:
     out = np.zeros(arr.shape, dtype=np.int64)
     for form, spec in enumerate(DIV5_FORM_SPECS, start=1):
         hit = in_set_mask(arr, spec)
-        assert not (hit & (out != 0)).any(), "overlapping divisibility forms"
+        if (hit & (out != 0)).any():
+            raise AssertionError("overlapping divisibility forms")
         out[hit] = form
     return out

@@ -183,7 +183,8 @@ def classify_mod8(n: int) -> Mod8Classification:
     for delta in (1, 2):
         unit, exponent = factor_out_base(n + delta, 4)
         if exponent >= 1 and unit % 2 == 1:
-            assert match is None, f"two (eps, delta) witnesses for n={n}"
+            if match is not None:
+                raise AssertionError(f"two (eps, delta) witnesses for n={n}")
             eps = unit % 4
             witness = Mod8Witness(eps=eps, delta=delta, i=(unit - eps) // 4,
                                   j=exponent - 1)
@@ -287,7 +288,8 @@ def classify_div5(n: int) -> Div5Classification:
     for form, spec in enumerate(DIV5_FORM_SPECS, start=1):
         hit = is_in_set(n, spec)
         if hit is not None:
-            assert found is None, f"two divisibility forms for n={n}"
+            if found is not None:
+                raise AssertionError(f"two divisibility forms for n={n}")
             i, j = hit
             if spec.exp_offset == 1:  # stored exponent 2j' + 1 is canonical 2j - 1
                 j += 1

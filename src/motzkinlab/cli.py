@@ -11,7 +11,7 @@ import json
 import sys
 from contextlib import contextmanager
 
-from . import checks, density, engines
+from . import bulk, checks, density, engines
 from .classify import classify_div5, classify_mod3, classify_mod8
 
 EXIT_OK = 0
@@ -172,6 +172,8 @@ def _cmd_classify(parser, args) -> int:
 
 
 def _cmd_verify(parser, args) -> int:
+    if args.count < 0:
+        parser.error("count must be non-negative")
     report = checks.verify_classifiers(args.mod, args.count)
     columns = ("modulus", "checked", "mismatches", "first_mismatch")
     with _emitter(args, columns) as emit:
@@ -204,6 +206,8 @@ def _cmd_density(parser, args) -> int:
         parser.error("-N/--horizon is required unless --closed")
     if args.horizon < 1:
         parser.error("-N/--horizon must be at least 1")
+    if args.horizon > bulk.MAX_INDEX:
+        parser.error(f"-N/--horizon must be at most {bulk.MAX_INDEX}")
     report = density.empirical_density(args.selector, args.horizon)
     with _emitter(args, _EMPIRICAL_COLUMNS) as emit:
         emit.row((

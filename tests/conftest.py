@@ -1,8 +1,9 @@
 """Shared oracles for the test suite.
 
-Both oracles are deliberately naive and independent of the package code:
+The oracles are deliberately naive and independent of the package code:
 one evaluates the defining binomial-Catalan sum with stdlib combinatorics,
-the other literally enumerates lattice walks.
+one literally enumerates lattice walks, and one runs the modular
+convolution recurrence on Python integers.
 """
 
 import math
@@ -37,6 +38,16 @@ def motzkin_path_count(n: int) -> int:
         )
 
     return walks(n, 0)
+
+
+def motzkin_convolution_oracle(modulus: int, count: int) -> "list[int]":
+    """M(0..count-1) mod modulus by M(n) = M(n-1) + sum_k M(k) M(n-2-k), in O(count**2)."""
+    vals = [1 % modulus]
+    for n in range(1, count):
+        head = vals[: n - 1]
+        acc = vals[n - 1] + sum(a * b for a, b in zip(head, reversed(head)))
+        vals.append(acc % modulus)
+    return vals
 
 
 @pytest.fixture(scope="session")

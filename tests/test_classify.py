@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -294,3 +299,34 @@ class TestClassifyDiv5:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             classify_div5(-1)
+
+
+class TestInvariantsUnderOptimize:
+    """The disjointness checks must survive ``python -O``, which strips asserts."""
+
+    @pytest.mark.parametrize("patch, call, message", [
+        ("classify.factor_out_base = lambda n, base: (1, 1)",
+         "classify.classify_mod8(5)", "two (eps, delta) witnesses for n=5"),
+        ("classify.is_in_set = lambda n, spec: (0, 1)",
+         "classify.classify_div5(5)", "two divisibility forms for n=5"),
+        ("bulk.factor_out = lambda values, base: (np.ones_like(values),) * 2",
+         "bulk.mod8_kind_codes(np.arange(8))", "overlapping (eps, delta) witnesses"),
+        ("bulk.in_set_mask = lambda values, spec: np.ones(len(values), dtype=bool)",
+         "bulk.div5_form_codes(np.arange(8))", "overlapping divisibility forms"),
+    ], ids=["classify_mod8", "classify_div5", "mod8_kind_codes", "div5_form_codes"])
+    def test_two_witnesses_raise(self, patch, call, message):
+        script = "\n".join([
+            "import numpy as np",
+            "from motzkinlab import bulk, classify",
+            patch,
+            "try:",
+            f"    {call}",
+            "except AssertionError as exc:",
+            "    print(exc)",
+        ])
+        root = Path(__file__).resolve().parent.parent
+        env = {**os.environ, "PYTHONPATH": str(root / "src")}
+        result = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                                capture_output=True, text=True, timeout=60)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == message

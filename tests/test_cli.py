@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from motzkinlab import checks
+from motzkinlab import bulk, checks
 from motzkinlab.cli import main
 from motzkinlab.engines import CEILING_ENV_VAR, iter_motzkin_exact, motzkin_mod_stream
 
@@ -203,6 +203,13 @@ class TestVerify:
         monkeypatch.setenv(CEILING_ENV_VAR, "10")
         assert run(capsys, "verify", "100", "--mod", "3")[0] == 3
 
+    @pytest.mark.parametrize("count", ["-5", "-1"])
+    def test_negative_count_is_usage_error(self, capsys, count):
+        code, out, err = run(capsys, "verify", count, "--mod", "8")
+        assert code == 2
+        assert out == ""
+        assert err.strip().splitlines()[-1].endswith("count must be non-negative")
+
 
 class TestDensity:
     def test_closed_form(self, capsys):
@@ -262,6 +269,10 @@ class TestDensity:
 
     def test_bad_horizon_and_parts(self, capsys):
         assert run(capsys, "density", "even", "-N", "0")[0] == 2
+        code, out, err = run(capsys, "density", "even", "-N", str(10**19))
+        assert code == 2
+        assert out == ""
+        assert err.strip().splitlines()[-1].endswith(f"must be at most {bulk.MAX_INDEX}")
         for removed in (["--parts", "2"], ["--empirical"], ["--both"]):
             code, _, err = run(capsys, "density", "even", "-N", "10", *removed)
             assert code == 2

@@ -16,9 +16,12 @@ from motzkinlab.engines import (
     resolve_ceiling,
 )
 
-from conftest import motzkin_defining_sum, motzkin_path_count
+from conftest import motzkin_convolution_oracle, motzkin_defining_sum, motzkin_path_count
 
 FIRST_TEN = [1, 1, 2, 4, 9, 21, 51, 127, 323, 835]
+ORACLE_COUNT = 600
+# Widest limb whose dot products over ORACLE_COUNT terms stay below 2**53.
+ORACLE_LIMB_BITS = max(b for b in range(27) if ORACLE_COUNT * 4**b <= 2**53)
 
 
 class TestMotzkinExact:
@@ -105,14 +108,24 @@ class TestModStream:
         for n in range(2000):
             assert stream[n] == next(gen) % modulus
 
-    def test_bigint_fallback_matches(self):
-        modulus = (1 << 40) + 7  # too large for the int64 fast path
-        stream = motzkin_mod_stream(modulus, 60)
-        exact = motzkin_exact_stream(60)
-        assert list(stream.values) == [v % modulus for v in exact]
+    @pytest.mark.parametrize("modulus", [
+        pytest.param((1 << ORACLE_LIMB_BITS) - 1, id="2^b-1"),  # one limb
+        pytest.param(1 << ORACLE_LIMB_BITS, id="2^b"),  # one limb: residues < 2**b
+        pytest.param((1 << ORACLE_LIMB_BITS) + 1, id="2^b+1"),  # two limbs
+        pytest.param((1 << 40) + 7, id="2^40+7"),
+        pytest.param((1 << 53) + 5, id="2^53+5"),
+        pytest.param((1 << 200) + 1, id="2^200+1"),
+    ])
+    def test_matches_convolution_oracle(self, modulus):
+        stream = motzkin_mod_stream(modulus, ORACLE_COUNT)
+        assert list(stream.values) == motzkin_convolution_oracle(modulus, ORACLE_COUNT)
+        assert all(type(v) is int for v in stream.values)
 
-    def test_fast_and_bigint_paths_agree(self):
-        assert engines._convolution_int64(97, 200) == engines._convolution_bigint(97, 200)
+    def test_blocked_multi_limb_stream_matches_exact_reduced(self):
+        modulus, count = (1 << 40) + 7, 2 * engines._BLOCK + 10  # 3 limbs, 2 blocks
+        gen = iter_motzkin_exact()
+        expected = [next(gen) % modulus for _ in range(count)]
+        assert list(motzkin_mod_stream(modulus, count).values) == expected
 
     def test_no_multiple_of_8_in_prefix(self):
         assert 0 not in motzkin_mod_stream(8, 2000).values
