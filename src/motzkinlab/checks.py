@@ -38,8 +38,7 @@ class VerificationReport:
         return self.mismatches == 0
 
 
-def verify_classifiers(modulus: int, count: int, *,
-                       ceiling: "int | None" = None) -> VerificationReport:
+def verify_classifiers(modulus: int, count: int) -> VerificationReport:
     """Compare digit predictions with exact residues for all n < count."""
     if modulus not in SUPPORTED_MODULI:
         raise ValueError(
@@ -47,7 +46,7 @@ def verify_classifiers(modulus: int, count: int, *,
         )
     if count < 0:
         raise ValueError(f"count must be non-negative, got {count}")
-    ensure_within_ceiling(count, "sweep length", ceiling)
+    ensure_within_ceiling(count, "sweep length")
     mismatches = 0
     first = None
     gen = iter_motzkin_exact()

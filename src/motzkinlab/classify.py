@@ -229,8 +229,8 @@ def classify_mod3(n: int) -> int:
 
 
 # The four disjoint index families with M(n) divisible by 5.  Forms 2 and 3
-# carry exponent 2j - 1 with j >= 1; the specs encode
-# it as 2j' + 1 with j' >= 0, and classify_div5 shifts the witness back.
+# carry exponent 2j - 1 with j >= 1; the specs encode it as 2j' + 1 with
+# j' >= 0, so in every form the canonical witness is j = j' + exp_offset.
 DIV5_FORM_SPECS: "tuple[SetSpec, ...]" = (
     SetSpec(base=5, residue=1, exp_step=2, exp_offset=0, shift=-2, min_j=1),
     SetSpec(base=5, residue=2, exp_step=2, exp_offset=1, shift=-1, min_j=0),
@@ -265,14 +265,9 @@ class Div5Classification:
         """Reconstruct n from the stored form and witness."""
         if self.form is None or self.witness is None:
             raise ValueError("no witness stored")
+        spec = DIV5_FORM_SPECS[self.form - 1]
         i, j = self.witness
-        if self.form == 1:
-            return (5 * i + 1) * 5 ** (2 * j) - 2
-        if self.form == 2:
-            return (5 * i + 2) * 5 ** (2 * j - 1) - 1
-        if self.form == 3:
-            return (5 * i + 3) * 5 ** (2 * j - 1) - 2
-        return (5 * i + 4) * 5 ** (2 * j) - 1
+        return spec.member(i, j - spec.exp_offset)
 
 
 def classify_div5(n: int) -> Div5Classification:
@@ -291,7 +286,5 @@ def classify_div5(n: int) -> Div5Classification:
             if found is not None:
                 raise AssertionError(f"two divisibility forms for n={n}")
             i, j = hit
-            if spec.exp_offset == 1:  # stored exponent 2j' + 1 is canonical 2j - 1
-                j += 1
-            found = Div5Classification(form=form, witness=Div5Witness(i=i, j=j))
+            found = Div5Classification(form, Div5Witness(i, j + spec.exp_offset))
     return found if found is not None else Div5Classification()

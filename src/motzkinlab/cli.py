@@ -1,13 +1,16 @@
 """Command-line front end: compute, classify, verify, density.
 
-Exit codes: 0 success / verified, 1 verification found mismatches, 2 usage
-error, 3 resource limit exceeded.
+Each command checks its whole request, then returns its exit code, columns
+and rows; :func:`main` writes them.  Exit codes: 0 success / verified, 1
+verification found mismatches, 2 usage error (also an unopenable ``--out``
+or a malformed ``MOTZKINLAB_CEILING``), 3 resource limit exceeded.
 """
 
 import argparse
 import csv
 import itertools
 import json
+import os
 import sys
 from contextlib import contextmanager
 
@@ -18,6 +21,11 @@ EXIT_OK = 0
 EXIT_VERIFICATION_FAILED = 1
 EXIT_USAGE = 2
 EXIT_RESOURCE_LIMIT = 3
+
+
+class _UsageError(Exception):
+    """A request that cannot run as given: exit 2 with a one-line message."""
+
 
 _EPILOG = (
     "Ranges are half-open: '0..10' means indices 0 through 9, a bare '7' "
@@ -47,23 +55,15 @@ def _decimal(value) -> str:
     return f"{float(value):.12g}"
 
 
-class _Emitter:
-    """One table with a fixed column schema, as CSV or JSON lines."""
-
-    def __init__(self, columns, fmt: str, handle) -> None:
-        self.columns = columns
-        self.fmt = fmt
-        self.handle = handle
-        if fmt == "csv":
-            self.writer = csv.writer(handle, lineterminator="\n")
-            self.writer.writerow(columns)
-
-    def row(self, values) -> None:
-        if self.fmt == "csv":
-            self.writer.writerow(["" if v is None else v for v in values])
-        else:
-            record = dict(zip(self.columns, values))
-            self.handle.write(json.dumps(record, separators=(",", ":")) + "\n")
+def _emit(handle, fmt: str, columns, rows) -> None:
+    """One table with a fixed column schema, as CSV (None left empty) or JSON lines."""
+    if fmt == "csv":
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(columns)
+        writer.writerows(rows)
+        return
+    for values in rows:
+        handle.write(json.dumps(dict(zip(columns, values)), separators=(",", ":")) + "\n")
 
 
 @contextmanager
@@ -84,14 +84,35 @@ def _unlimited_int_digits():
         sys.set_int_max_str_digits(previous)
 
 
-@contextmanager
-def _emitter(args, columns):
+def _write_table(args, columns, rows) -> None:
+    """Write the table to ``--out`` or stdout.
+
+    An ``--out`` that cannot be opened is a usage error.  A stdout reader
+    that goes away early (``| head``) ends the output quietly.
+    """
     with _unlimited_int_digits():
-        if args.out:
-            with open(args.out, "w", encoding="utf-8", newline="") as handle:
-                yield _Emitter(columns, args.format, handle)
-        else:
-            yield _Emitter(columns, args.format, sys.stdout)
+        if not args.out:
+            try:
+                _emit(sys.stdout, args.format, columns, rows)
+                sys.stdout.flush()
+            except BrokenPipeError:
+                # Keep the interpreter's final flush quiet (Python's signal
+                # docs, "Note on SIGPIPE").
+                os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            return
+        try:
+            handle = open(args.out, "w", encoding="utf-8", newline="")
+        except OSError as exc:
+            raise _UsageError(f"cannot open --out {args.out!r}: {exc.strerror}") from None
+        with handle:
+            _emit(handle, args.format, columns, rows)
+
+
+def _ceiling_guard(requested: int, what: str) -> None:
+    try:
+        engines.ensure_within_ceiling(requested, what)
+    except ValueError as exc:  # a malformed MOTZKINLAB_CEILING
+        raise _UsageError(str(exc)) from None
 
 
 def _add_output_options(sub) -> None:
@@ -112,24 +133,25 @@ def _compute_rows(engine: str, lo: int, hi: int, modulus):
     if engine == "sum":
         values = (engines.motzkin_exact(n) for n in range(lo, hi))
     else:
-        engines.ensure_within_ceiling(hi, "stream length")
         values = itertools.islice(engines.iter_motzkin_exact(), lo, hi)
     for n, value in zip(range(lo, hi), values):
         yield n, (value if modulus is None else value % modulus)
 
 
-def _cmd_compute(parser, args) -> int:
+def _cmd_compute(parser, args):
     lo, hi = args.range
     if args.mod is not None and args.mod < 2:
         parser.error("--mod must be at least 2")
     engine = args.engine or ("convolution" if args.mod is not None else "holonomic")
     if engine == "convolution" and args.mod is None:
         parser.error("engine 'convolution' requires --mod")
+    if lo < hi:  # the whole request passes the ceiling before any output is opened
+        if engine == "sum":
+            _ceiling_guard(hi - 1, "index")
+        else:
+            _ceiling_guard(hi, "stream length")
     columns = ("n", "value") if args.mod is None else ("n", "residue")
-    with _emitter(args, columns) as emit:
-        for row in _compute_rows(engine, lo, hi, args.mod):
-            emit.row(row)
-    return EXIT_OK
+    return EXIT_OK, columns, _compute_rows(engine, lo, hi, args.mod)
 
 
 _CLASSIFY_COLUMNS = {
@@ -163,23 +185,20 @@ def _classify_row(modulus: int, n: int):
     return n, 0, None, None, None
 
 
-def _cmd_classify(parser, args) -> int:
+def _cmd_classify(parser, args):
     lo, hi = args.range
-    with _emitter(args, _CLASSIFY_COLUMNS[args.mod]) as emit:
-        for n in range(lo, hi):
-            emit.row(_classify_row(args.mod, n))
-    return EXIT_OK
+    rows = (_classify_row(args.mod, n) for n in range(lo, hi))
+    return EXIT_OK, _CLASSIFY_COLUMNS[args.mod], rows
 
 
-def _cmd_verify(parser, args) -> int:
+def _cmd_verify(parser, args):
     if args.count < 0:
         parser.error("count must be non-negative")
+    _ceiling_guard(args.count, "sweep length")
     report = checks.verify_classifiers(args.mod, args.count)
     columns = ("modulus", "checked", "mismatches", "first_mismatch")
-    with _emitter(args, columns) as emit:
-        emit.row((report.modulus, report.checked, report.mismatches,
-                  report.first_mismatch))
-    return EXIT_OK if report.ok else EXIT_VERIFICATION_FAILED
+    row = (report.modulus, report.checked, report.mismatches, report.first_mismatch)
+    return (EXIT_OK if report.ok else EXIT_VERIFICATION_FAILED), columns, [row]
 
 
 _CLOSED_COLUMNS = ("label", "limit", "limit_decimal")
@@ -187,21 +206,17 @@ _EMPIRICAL_COLUMNS = ("label", "limit", "limit_decimal", "N", "count",
                       "ratio", "abs_discrepancy", "error_bound")
 
 
-def _cmd_density(parser, args) -> int:
+def _cmd_density(parser, args):
     if args.selector == "table":
-        with _emitter(args, _CLOSED_COLUMNS) as emit:
-            for label, value in density.density_table():
-                emit.row((label, _fraction_str(value), _decimal(value)))
-        return EXIT_OK
-    try:
-        limit_value = density.density_limit(args.selector)
-    except ValueError as exc:
-        parser.error(str(exc))
-    if args.closed:
-        with _emitter(args, _CLOSED_COLUMNS) as emit:
-            emit.row((args.selector, _fraction_str(limit_value),
-                      _decimal(limit_value)))
-        return EXIT_OK
+        limits = density.density_table()
+    else:
+        try:
+            limits = [(args.selector, density.density_limit(args.selector))]
+        except ValueError as exc:
+            parser.error(str(exc))
+    if args.selector == "table" or args.closed:
+        return EXIT_OK, _CLOSED_COLUMNS, [
+            (label, _fraction_str(value), _decimal(value)) for label, value in limits]
     if args.horizon is None:
         parser.error("-N/--horizon is required unless --closed")
     if args.horizon < 1:
@@ -209,18 +224,16 @@ def _cmd_density(parser, args) -> int:
     if args.horizon > bulk.MAX_INDEX:
         parser.error(f"-N/--horizon must be at most {bulk.MAX_INDEX}")
     report = density.empirical_density(args.selector, args.horizon)
-    with _emitter(args, _EMPIRICAL_COLUMNS) as emit:
-        emit.row((
-            report.label,
-            _fraction_str(report.limit_value),
-            _decimal(report.limit_value),
-            report.horizon,
-            report.observed_count,
-            _decimal(report.observed_ratio),
-            _decimal(report.abs_discrepancy),
-            _decimal(report.error_bound),
-        ))
-    return EXIT_OK
+    return EXIT_OK, _EMPIRICAL_COLUMNS, [(
+        report.label,
+        _fraction_str(report.limit_value),
+        _decimal(report.limit_value),
+        report.horizon,
+        report.observed_count,
+        _decimal(report.observed_ratio),
+        _decimal(report.abs_discrepancy),
+        _decimal(report.error_bound),
+    )]
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -249,7 +262,7 @@ def _build_parser() -> argparse.ArgumentParser:
                               epilog=_EPILOG)
     classify.add_argument("range", type=_range_type,
                           help="index range a..b (half-open) or single index")
-    classify.add_argument("--mod", type=int, choices=(2, 3, 4, 5, 8),
+    classify.add_argument("--mod", type=int, choices=checks.SUPPORTED_MODULI,
                           required=True, help="modulus to classify against")
     _add_output_options(classify)
     classify.set_defaults(func=_cmd_classify)
@@ -259,7 +272,7 @@ def _build_parser() -> argparse.ArgumentParser:
                             epilog=_EPILOG)
     verify.add_argument("count", type=int,
                         help="check all indices n < count")
-    verify.add_argument("--mod", type=int, choices=(2, 3, 4, 5, 8),
+    verify.add_argument("--mod", type=int, choices=checks.SUPPORTED_MODULI,
                         required=True, help="modulus to verify")
     _add_output_options(verify)
     verify.set_defaults(func=_cmd_verify)
@@ -283,9 +296,14 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(parser, args)
+        code, columns, rows = args.func(parser, args)
+        _write_table(args, columns, rows)
+        return code
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
+    except _UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except engines.ResourceLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE_LIMIT

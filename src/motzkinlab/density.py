@@ -13,9 +13,10 @@ other so they can cross-check:
   computes Motzkin residues (:func:`empirical_residue_distribution`).
 
 Each class label has one entry in an ordered registry that holds its
-limit, its per-chunk kernel count and its error bound.  Classes that are
-disjoint unions of :class:`SetSpec` families, and bare SetSpec selectors,
-derive the limit and bound by summing over their specs.
+limit, its per-chunk kernel count and its error bound; the registry labels
+are the only selectors.  Classes that are disjoint unions of
+:class:`SetSpec` families derive the limit and bound by summing over their
+specs.
 """
 
 from collections.abc import Callable
@@ -45,21 +46,14 @@ def closed_density(base: int, exp_step: int, exp_offset: int,
     with ``start = exp_offset + exp_step*min_j`` the smallest exponent.
     Additive shifts never change a density, so none appears here.
     """
-    if base < 2:
-        raise ValueError(f"base must be at least 2, got {base}")
-    if exp_step < 1:
-        raise ValueError(f"exp_step must be at least 1, got {exp_step}")
-    if exp_offset < 0:
-        raise ValueError(f"exp_offset must be non-negative, got {exp_offset}")
-    if min_j not in (0, 1):
-        raise ValueError(f"min_j must be 0 or 1, got {min_j}")
-    start = exp_offset + exp_step * min_j
-    return Fraction(base ** exp_step, base ** (start + 1) * (base ** exp_step - 1))
+    return set_density(SetSpec(base, 1, exp_step, exp_offset, min_j=min_j))
 
 
 def set_density(spec: SetSpec) -> Fraction:
     """Closed-form density of the members of ``spec``."""
-    return closed_density(spec.base, spec.exp_step, spec.exp_offset, spec.min_j)
+    base, step = spec.base, spec.exp_step
+    start = spec.exp_offset + step * spec.min_j
+    return Fraction(base ** step, base ** (start + 1) * (base ** step - 1))
 
 
 def _count_members_at_most(bound: int, spec: SetSpec) -> int:
@@ -262,9 +256,7 @@ SELECTORS: "tuple[str, ...]" = tuple(_REGISTRY)
 
 
 def _entry(selector) -> _ClassEntry:
-    """Registry entry for a class label; a bare SetSpec gets one built on demand."""
-    if isinstance(selector, SetSpec):
-        return _set_entry(selector)
+    """Registry entry for a class label; anything else is a ValueError."""
     if isinstance(selector, str) and selector in _REGISTRY:
         return _REGISTRY[selector]
     raise ValueError(f"unknown class selector {selector!r}")
@@ -276,15 +268,8 @@ def density_table() -> "list[tuple[str, Fraction]]":
 
 
 def density_limit(selector) -> Fraction:
-    """Exact limit density for a class label or an arbitrary SetSpec."""
+    """Exact limit density for a class label."""
     return _entry(selector).limit
-
-
-def _spec_label(spec: SetSpec) -> str:
-    return (
-        f"set(base={spec.base} residue={spec.residue} exp_step={spec.exp_step}"
-        f" exp_offset={spec.exp_offset} shift={spec.shift} min_j={spec.min_j})"
-    )
 
 
 def count_class_in_range(selector, lo: int, hi: int) -> int:
@@ -309,7 +294,7 @@ class DensityReport:
     limit_value: Fraction
     horizon: int
     observed_count: int
-    error_bound: "float | None" = None
+    error_bound: float
 
     def __post_init__(self) -> None:
         if self.horizon < 1:
@@ -336,7 +321,7 @@ def empirical_density(selector, horizon: int) -> DensityReport:
         raise ValueError(f"horizon must be at least 1, got {horizon}")
     entry = _entry(selector)
     return DensityReport(
-        label=_spec_label(selector) if isinstance(selector, SetSpec) else selector,
+        label=selector,
         limit_value=entry.limit,
         horizon=horizon,
         observed_count=count_class_in_range(selector, 0, horizon),
@@ -344,15 +329,14 @@ def empirical_density(selector, horizon: int) -> DensityReport:
     )
 
 
-def empirical_residue_distribution(modulus: int, horizon: int, *,
-                                   ceiling: "int | None" = None,
-                                   ) -> "list[tuple[int, int, float]]":
+def empirical_residue_distribution(modulus: int,
+                                   horizon: int) -> "list[tuple[int, int, float]]":
     """(residue, count, ratio) for M(n) mod modulus over n < horizon.
 
     Unlike the digit-kernel paths this really computes Motzkin residues, via
     the convolution engine, so the engine ceiling applies.
     """
-    stream = motzkin_mod_stream(modulus, horizon, ceiling=ceiling)
+    stream = motzkin_mod_stream(modulus, horizon)
     counts = [0] * modulus
     for value in stream.values:
         counts[value] += 1

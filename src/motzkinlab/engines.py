@@ -26,8 +26,7 @@ others:
 recurrence reduced modulo ``m`` and reports the first disagreement, if any.
 
 Quadratic-cost requests (single large indices, stream lengths) are capped by
-a configurable ceiling: the ``ceiling`` keyword, else the environment
-variable ``MOTZKINLAB_CEILING``, else 10**5.
+a ceiling: the environment variable ``MOTZKINLAB_CEILING``, else 10**5.
 """
 
 import os
@@ -48,12 +47,8 @@ class ExactDivisionError(ArithmeticError):
     """The exact recurrence produced a nonzero remainder (an engine bug)."""
 
 
-def resolve_ceiling(ceiling: "int | None" = None) -> int:
-    """Effective ceiling: explicit argument, else environment, else default."""
-    if ceiling is not None:
-        if ceiling < 0:
-            raise ValueError(f"ceiling must be non-negative, got {ceiling}")
-        return ceiling
+def resolve_ceiling() -> int:
+    """Effective ceiling: the environment variable, else the default."""
     raw = os.environ.get(CEILING_ENV_VAR)
     if raw is None:
         return DEFAULT_CEILING
@@ -68,18 +63,16 @@ def resolve_ceiling(ceiling: "int | None" = None) -> int:
     return value
 
 
-def ensure_within_ceiling(requested: int, what: str = "index",
-                          ceiling: "int | None" = None) -> None:
+def ensure_within_ceiling(requested: int, what: str = "index") -> None:
     """Raise :class:`ResourceLimitError` when ``requested`` exceeds the ceiling."""
-    limit = resolve_ceiling(ceiling)
+    limit = resolve_ceiling()
     if requested > limit:
         raise ResourceLimitError(
-            f"{what} {requested} exceeds the ceiling {limit} "
-            f"(raise it via the ceiling argument or {CEILING_ENV_VAR})"
+            f"{what} {requested} exceeds the ceiling {limit} (raise it via {CEILING_ENV_VAR})"
         )
 
 
-def motzkin_exact(n: int, *, ceiling: "int | None" = None) -> int:
+def motzkin_exact(n: int) -> int:
     """Return the n-th Motzkin number as an exact integer.
 
     Evaluates the defining sum ``sum_k binom(n, 2k) * catalan(k)`` term by
@@ -88,7 +81,7 @@ def motzkin_exact(n: int, *, ceiling: "int | None" = None) -> int:
     """
     if n < 0:
         raise ValueError(f"index must be non-negative, got {n}")
-    ensure_within_ceiling(n, "index", ceiling)
+    ensure_within_ceiling(n, "index")
     total = 0
     binomial = 1  # binom(n, 2k)
     catalan = 1   # binom(2k, k) // (k + 1)
@@ -122,11 +115,11 @@ def iter_motzkin_exact() -> Iterator[int]:
         n += 1
 
 
-def motzkin_exact_stream(count: int, *, ceiling: "int | None" = None) -> "list[int]":
+def motzkin_exact_stream(count: int) -> "list[int]":
     """Return ``[M(0), ..., M(count - 1)]`` via the exact recurrence."""
     if count < 1:
         raise ValueError(f"stream length must be at least 1, got {count}")
-    ensure_within_ceiling(count, "stream length", ceiling)
+    ensure_within_ceiling(count, "stream length")
     gen = iter_motzkin_exact()
     return [next(gen) for _ in range(count)]
 
@@ -155,8 +148,7 @@ class ResidueStream:
         return self.values[index]
 
 
-def motzkin_mod_stream(modulus: int, count: int, *,
-                       ceiling: "int | None" = None) -> ResidueStream:
+def motzkin_mod_stream(modulus: int, count: int) -> ResidueStream:
     """Residues of M(0..count-1) modulo ``modulus`` by the convolution recurrence.
 
     O(count) memory and O(count**2) exact float64 limb multiply-adds, for
@@ -166,7 +158,7 @@ def motzkin_mod_stream(modulus: int, count: int, *,
         raise ValueError(f"modulus must be at least 2, got {modulus}")
     if count < 1:
         raise ValueError(f"stream length must be at least 1, got {count}")
-    ensure_within_ceiling(count, "stream length", ceiling)
+    ensure_within_ceiling(count, "stream length")
     return ResidueStream(modulus=modulus, values=tuple(_convolution(modulus, count)))
 
 
@@ -220,14 +212,13 @@ class CrossValidationReport:
         return self.first_mismatch is None
 
 
-def cross_validate_engines(modulus: int, count: int, *,
-                           ceiling: "int | None" = None) -> CrossValidationReport:
+def cross_validate_engines(modulus: int, count: int) -> CrossValidationReport:
     """Compare the convolution stream with the exact recurrence reduced mod m.
 
     Disagreements are reported, not raised: a mismatch means one of the two
     engines is wrong, which is exactly what the report exists to surface.
     """
-    stream = motzkin_mod_stream(modulus, count, ceiling=ceiling)
+    stream = motzkin_mod_stream(modulus, count)
     gen = iter_motzkin_exact()
     first = None
     for n in range(count):

@@ -1,10 +1,13 @@
 import itertools
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from motzkinlab import bulk, checks
+from motzkinlab import bulk, checks, engines
 from motzkinlab.cli import main
 from motzkinlab.engines import CEILING_ENV_VAR, iter_motzkin_exact, motzkin_mod_stream
 
@@ -107,13 +110,49 @@ class TestCompute:
         assert [int(r[0]) for r in rows] == [9029, 9030]
         assert [parse_decimal(r[1]) for r in rows] == list(expected)
 
-    def test_ceiling_exit_code(self, capsys, monkeypatch):
+    def test_ceiling_exit_code(self, capsys, monkeypatch, tmp_path):
         monkeypatch.setenv(CEILING_ENV_VAR, "10")
-        code, _, err = run(capsys, "compute", "0..50")
-        assert code == 3
-        assert "ceiling" in err
-        code, _, _ = run(capsys, "compute", "0..50", "--mod", "8")
-        assert code == 3
+        # Every engine refuses the whole request before writing anything.
+        for extra in (["--engine", "holonomic"], ["--engine", "convolution", "--mod", "8"],
+                      ["--engine", "sum"]):
+            code, out, err = run(capsys, "compute", "0..50", *extra)
+            assert code == 3
+            assert out == ""
+            assert err.count("\n") == 1 and "ceiling 10" in err
+            target = tmp_path / "refused.csv"
+            assert run(capsys, "compute", "0..50", *extra, "--out", str(target))[0] == 3
+            assert not target.exists()
+        # The sum engine checks its largest index, the streams their length.
+        assert run(capsys, "compute", "5..11", "--engine", "sum")[0] == 0
+        assert run(capsys, "compute", "5..11")[0] == 3
+        assert run(capsys, "compute", "5..10", "--mod", "8")[0] == 0
+        assert run(capsys, "compute", "50..50") == (0, "n,value\n", "")
+
+    @pytest.mark.parametrize("value", ["abc", "-3"])
+    def test_malformed_ceiling_is_usage_error(self, capsys, monkeypatch, value):
+        monkeypatch.setenv(CEILING_ENV_VAR, value)
+        for argv in (["compute", "0..10"], ["compute", "0..10", "--mod", "8"],
+                     ["verify", "10", "--mod", "8"]):
+            code, out, err = run(capsys, *argv)
+            assert code == 2
+            assert out == ""
+            assert err.count("\n") == 1 and CEILING_ENV_VAR in err
+        # Commands that never compute a Motzkin number do not read the variable.
+        assert run(capsys, "classify", "0..3", "--mod", "8")[0] == 0
+        assert run(capsys, "density", "even", "-N", "10")[0] == 0
+
+    @pytest.mark.parametrize("argv", [["compute", "0..10"], ["compute", "0..10", "--mod", "8"],
+                                      ["density", "table"]])
+    def test_unopenable_out_is_usage_error(self, capsys, monkeypatch, tmp_path, argv):
+        def not_before_the_output_opens(*args):
+            raise AssertionError("residues computed before --out was opened")
+
+        monkeypatch.setattr(engines, "motzkin_mod_stream", not_before_the_output_opens)
+        target = tmp_path / "missing" / "x.csv"
+        code, out, err = run(capsys, *argv, "--out", str(target))
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and "--out" in err
 
 
 class TestClassify:
@@ -290,3 +329,39 @@ class TestHarness:
 
     def test_help_exits_zero(self, capsys):
         assert run(capsys, "--help")[0] == 0
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+class TestClosedPipe:
+    """A reader that goes away early (``| head``) ends the output quietly."""
+
+    @staticmethod
+    def start(script, unbuffered):
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+        env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered:  # every write reaches the pipe, the header included
+            env["PYTHONUNBUFFERED"] = "1"
+        return subprocess.Popen([sys.executable, "-c", script], env=env,
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+
+    def test_reader_closes_after_two_lines(self, unbuffered):
+        proc = self.start("import sys; from motzkinlab.cli import main; "
+                          "sys.exit(main(['classify', '0..200000', '--mod', '8']))",
+                          unbuffered)
+        lines = [proc.stdout.readline() for _ in range(2)]
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+        assert lines == [b"n,class,eps,delta,i,j,y\n", b"0,odd,,,,,\n"]
+        assert proc.returncode == 0
+        assert err == b""
+
+    def test_verdict_survives_a_closed_reader(self, unbuffered):
+        proc = self.start("import sys; from motzkinlab import checks; "
+                          "from motzkinlab.cli import main; "
+                          "checks.classify_mod3 = lambda n: 1; "
+                          "sys.exit(main(['verify', '100', '--mod', '3']))",
+                          unbuffered)
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+        assert proc.returncode == 1
+        assert err == b""

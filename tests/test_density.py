@@ -29,7 +29,7 @@ from motzkinlab.density import (
     empirical_residue_distribution,
     set_density,
 )
-from motzkinlab.engines import ResourceLimitError
+from motzkinlab.engines import CEILING_ENV_VAR, ResourceLimitError
 
 FORM2 = DIV5_FORM_SPECS[1]
 
@@ -207,11 +207,10 @@ class TestDensityTable:
         assert density_limit("mod8=4") == Fraction(1, 6)
         assert density_limit("div5_form1") == Fraction(1, 120)
         assert density_limit("mod3=0") == 1
-        assert density_limit(FORM2) == Fraction(1, 24)
         with pytest.raises(ValueError):
             density_limit("mod8=5")
 
-    @pytest.mark.parametrize("selector", [7, ["even"], None])
+    @pytest.mark.parametrize("selector", [7, ["even"], None, FORM2])
     def test_non_label_selectors_are_rejected(self, selector):
         with pytest.raises(ValueError):
             density_limit(selector)
@@ -281,17 +280,21 @@ class TestEmpiricalDensity:
         expected = abs(Fraction(report.observed_count, 10**5) - Fraction(1, 10))
         assert report.abs_discrepancy == pytest.approx(float(expected))
 
-    def test_spec_counts_match_count_set_exact(self, classifier_specs):
-        for spec in classifier_specs:
-            report = empirical_density(spec, 20_000)
+    def test_spec_counts_match_count_set_exact(self):
+        labelled = [(f"eps{eps}_delta{delta}", spec)
+                    for (eps, delta), spec in MOD8_CLASS_SPECS.items()]
+        labelled += [(f"div5_form{form}", spec)
+                     for form, spec in enumerate(DIV5_FORM_SPECS, start=1)]
+        for label, spec in labelled:
+            report = empirical_density(label, 20_000)
             assert report.observed_count == count_set_exact(19_999, spec)
             assert report.limit_value == set_density(spec)
-            assert report.label.startswith("set(")
+            assert report.label == label
 
     @pytest.mark.parametrize("selector", ALL_LABELS)
     def test_error_bound_dominates_discrepancy(self, selector):
         report = empirical_density(selector, 10**5)
-        assert report.error_bound is not None
+        assert type(report.error_bound) is float
         assert report.abs_discrepancy <= report.error_bound
 
     def test_t01_report_at_power_horizon(self):
@@ -332,14 +335,15 @@ class TestResidueDistribution:
         assert sum(count for _, count, _ in rows) == 1000
         assert [residue for residue, _, _ in rows] == [0, 1, 2, 3, 4]
 
-    def test_ceiling_applies(self):
+    def test_ceiling_applies(self, monkeypatch):
+        monkeypatch.setenv(CEILING_ENV_VAR, "100")
         with pytest.raises(ResourceLimitError):
-            empirical_residue_distribution(5, 101, ceiling=100)
+            empirical_residue_distribution(5, 101)
 
 
 class TestDensityReport:
     def test_validation(self):
         with pytest.raises(ValueError):
-            DensityReport("x", Fraction(1, 2), 0, 0)
+            DensityReport("x", Fraction(1, 2), 0, 0, 0.0)
         with pytest.raises(ValueError):
-            DensityReport("x", Fraction(1, 2), 10, 11)
+            DensityReport("x", Fraction(1, 2), 10, 11, 0.0)

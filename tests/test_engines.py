@@ -48,10 +48,11 @@ class TestMotzkinExact:
         with pytest.raises(ValueError):
             motzkin_exact(-1)
 
-    def test_ceiling_enforced(self):
+    def test_ceiling_enforced(self, monkeypatch):
+        monkeypatch.setenv(CEILING_ENV_VAR, "10")
         with pytest.raises(ResourceLimitError):
-            motzkin_exact(11, ceiling=10)
-        assert motzkin_exact(10, ceiling=10) == 2188
+            motzkin_exact(11)
+        assert motzkin_exact(10) == 2188
 
     def test_env_ceiling(self, monkeypatch):
         monkeypatch.setenv(CEILING_ENV_VAR, "12")
@@ -61,6 +62,11 @@ class TestMotzkinExact:
         monkeypatch.setenv(CEILING_ENV_VAR, "not-a-number")
         with pytest.raises(ValueError):
             resolve_ceiling()
+        monkeypatch.setenv(CEILING_ENV_VAR, "-3")
+        with pytest.raises(ValueError):
+            resolve_ceiling()
+        monkeypatch.delenv(CEILING_ENV_VAR)
+        assert resolve_ceiling() == engines.DEFAULT_CEILING
 
 
 class TestExactStream:
@@ -80,11 +86,12 @@ class TestExactStream:
         for n in range(2, 300):
             assert (n + 2) * stream[n] == (2 * n + 1) * stream[n - 1] + 3 * (n - 1) * stream[n - 2]
 
-    def test_validation(self):
+    def test_validation(self, monkeypatch):
         with pytest.raises(ValueError):
             motzkin_exact_stream(0)
+        monkeypatch.setenv(CEILING_ENV_VAR, "1000")
         with pytest.raises(ResourceLimitError):
-            motzkin_exact_stream(1001, ceiling=1000)
+            motzkin_exact_stream(1001)
 
 
 class TestModStream:
@@ -130,13 +137,14 @@ class TestModStream:
     def test_no_multiple_of_8_in_prefix(self):
         assert 0 not in motzkin_mod_stream(8, 2000).values
 
-    def test_validation(self):
+    def test_validation(self, monkeypatch):
         with pytest.raises(ValueError):
             motzkin_mod_stream(1, 10)
         with pytest.raises(ValueError):
             motzkin_mod_stream(8, 0)
+        monkeypatch.setenv(CEILING_ENV_VAR, "100")
         with pytest.raises(ResourceLimitError):
-            motzkin_mod_stream(8, 101, ceiling=100)
+            motzkin_mod_stream(8, 101)
 
 
 class TestResidueStream:
