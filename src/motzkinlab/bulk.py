@@ -3,7 +3,8 @@
 These kernels stream int64 index arrays so that density sweeps over tens of
 millions of indices stay fast.  Each one mirrors a function in
 :mod:`motzkinlab.classify`; the test suite holds them to exact agreement.
-Indices must be non-negative and leave headroom for n + 2 in int64.
+Indices must be integers (any integer dtype), non-negative, and leave
+headroom for n + 2 in int64.
 """
 
 import numpy as np
@@ -16,13 +17,15 @@ ODD_CODE = 1  # mod8_kind_codes marker for "M(n) is odd"
 
 
 def _checked(values) -> np.ndarray:
-    arr = np.asarray(values, dtype=np.int64)
+    arr = np.asarray(values)
     if arr.size:
+        if arr.dtype.kind not in "iu":  # floats would truncate, huge ints arrive as objects
+            raise ValueError(f"indices must have an integer dtype, got {arr.dtype}")
         if int(arr.min()) < 0:
             raise ValueError("indices must be non-negative")
         if int(arr.max()) > MAX_INDEX:
             raise ValueError(f"indices must be at most {MAX_INDEX}")
-    return arr
+    return arr.astype(np.int64, copy=False)
 
 
 def factor_out(values: np.ndarray, base: int) -> "tuple[np.ndarray, np.ndarray]":

@@ -3,7 +3,8 @@
 Each command checks its whole request, then returns its exit code, columns
 and rows; :func:`main` writes them.  Exit codes: 0 success / verified, 1
 verification found mismatches, 2 usage error (also an unopenable ``--out``
-or a malformed ``MOTZKINLAB_CEILING``), 3 resource limit exceeded.
+or a malformed ``MOTZKINLAB_CEILING``), 3 resource limit exceeded.  A usage
+error found after parsing is one ``error:`` line on stderr.
 """
 
 import argparse
@@ -138,13 +139,13 @@ def _compute_rows(engine: str, lo: int, hi: int, modulus):
         yield n, (value if modulus is None else value % modulus)
 
 
-def _cmd_compute(parser, args):
+def _cmd_compute(args):
     lo, hi = args.range
     if args.mod is not None and args.mod < 2:
-        parser.error("--mod must be at least 2")
+        raise _UsageError("--mod must be at least 2")
     engine = args.engine or ("convolution" if args.mod is not None else "holonomic")
     if engine == "convolution" and args.mod is None:
-        parser.error("engine 'convolution' requires --mod")
+        raise _UsageError("engine 'convolution' requires --mod")
     if lo < hi:  # the whole request passes the ceiling before any output is opened
         if engine == "sum":
             _ceiling_guard(hi - 1, "index")
@@ -185,15 +186,15 @@ def _classify_row(modulus: int, n: int):
     return n, 0, None, None, None
 
 
-def _cmd_classify(parser, args):
+def _cmd_classify(args):
     lo, hi = args.range
     rows = (_classify_row(args.mod, n) for n in range(lo, hi))
     return EXIT_OK, _CLASSIFY_COLUMNS[args.mod], rows
 
 
-def _cmd_verify(parser, args):
+def _cmd_verify(args):
     if args.count < 0:
-        parser.error("count must be non-negative")
+        raise _UsageError("count must be non-negative")
     _ceiling_guard(args.count, "sweep length")
     report = checks.verify_classifiers(args.mod, args.count)
     columns = ("modulus", "checked", "mismatches", "first_mismatch")
@@ -206,25 +207,10 @@ _EMPIRICAL_COLUMNS = ("label", "limit", "limit_decimal", "N", "count",
                       "ratio", "abs_discrepancy", "error_bound")
 
 
-def _cmd_density(parser, args):
-    if args.selector == "table":
-        limits = density.density_table()
-    else:
-        try:
-            limits = [(args.selector, density.density_limit(args.selector))]
-        except ValueError as exc:
-            parser.error(str(exc))
-    if args.selector == "table" or args.closed:
-        return EXIT_OK, _CLOSED_COLUMNS, [
-            (label, _fraction_str(value), _decimal(value)) for label, value in limits]
-    if args.horizon is None:
-        parser.error("-N/--horizon is required unless --closed")
-    if args.horizon < 1:
-        parser.error("-N/--horizon must be at least 1")
-    if args.horizon > bulk.MAX_INDEX:
-        parser.error(f"-N/--horizon must be at most {bulk.MAX_INDEX}")
-    report = density.empirical_density(args.selector, args.horizon)
-    return EXIT_OK, _EMPIRICAL_COLUMNS, [(
+def _empirical_rows(selector: str, horizon: int):
+    """The one report row, swept only once the output is open."""
+    report = density.empirical_density(selector, horizon)
+    yield (
         report.label,
         _fraction_str(report.limit_value),
         _decimal(report.limit_value),
@@ -233,7 +219,27 @@ def _cmd_density(parser, args):
         _decimal(report.observed_ratio),
         _decimal(report.abs_discrepancy),
         _decimal(report.error_bound),
-    )]
+    )
+
+
+def _cmd_density(args):
+    if args.selector == "table":
+        limits = density.density_table()
+    else:
+        try:
+            limits = [(args.selector, density.density_limit(args.selector))]
+        except ValueError as exc:
+            raise _UsageError(str(exc)) from None
+    if args.selector == "table" or args.closed:
+        return EXIT_OK, _CLOSED_COLUMNS, [
+            (label, _fraction_str(value), _decimal(value)) for label, value in limits]
+    if args.horizon is None:
+        raise _UsageError("-N/--horizon is required unless --closed")
+    if args.horizon < 1:
+        raise _UsageError("-N/--horizon must be at least 1")
+    if args.horizon > bulk.MAX_INDEX:
+        raise _UsageError(f"-N/--horizon must be at most {bulk.MAX_INDEX}")
+    return EXIT_OK, _EMPIRICAL_COLUMNS, _empirical_rows(args.selector, args.horizon)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -293,10 +299,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-        code, columns, rows = args.func(parser, args)
+        args = _build_parser().parse_args(argv)
+        code, columns, rows = args.func(args)
         _write_table(args, columns, rows)
         return code
     except SystemExit as exc:

@@ -89,35 +89,13 @@ def count_set_exact(n_max: int, spec: SetSpec) -> int:
     return total
 
 
-def _floor_log(value: int, base: int) -> int:
-    """floor(log_base(value)) for value >= 1, by exact integer powers."""
-    log = 0
-    power = base
-    while power <= value:
-        power *= base
-        log += 1
-    return log
-
-
-def _truncation_index(n_max: int, spec: SetSpec) -> int:
-    """Largest admissible j index at horizon n_max, floored at -1."""
-    shifted = max(n_max - spec.shift, 1)
-    log = _floor_log(shifted, spec.base)
-    return max((log - spec.exp_offset - 1) // spec.exp_step, -1)
-
-
-def _layer_count(n_max: int, spec: SetSpec) -> int:
-    """Number of exponent layers that contribute to count_set_exact."""
-    shifted = n_max - spec.shift
-    if shifted <= 0:
-        return 0
-    layers = 0
-    power = spec.base ** (spec.exp_step * spec.min_j + spec.exp_offset)
-    step_factor = spec.base ** spec.exp_step
-    while power <= shifted:
-        layers += 1
-        power *= step_factor
-    return layers
+def _powers_upto(limit: int, base: int, first: int, step: int) -> int:
+    """How many t >= 0 have base**(first + step*t) <= limit (0 for limit <= 0)."""
+    count, power, factor = 0, base ** first, base ** step
+    while power <= limit:
+        count += 1
+        power *= factor
+    return count
 
 
 def count_error_bound(n_max: int, spec: SetSpec) -> Fraction:
@@ -130,7 +108,9 @@ def count_error_bound(n_max: int, spec: SetSpec) -> Fraction:
     least base**(smallest exponent), so it vanishes for every classifier
     spec.  The tests check the bound against brute-force counts.
     """
-    trunc = _truncation_index(n_max, spec)
+    # Largest admissible j at this horizon, floored at -1.
+    trunc = _powers_upto(max(n_max - spec.shift, 1), spec.base,
+                         spec.exp_offset + 1, spec.exp_step) - 1
     smallest_exponent = spec.exp_step * spec.min_j + spec.exp_offset
     return (
         2 * (trunc + 2)
@@ -167,7 +147,7 @@ def count_t01_upto(n_max: int) -> int:
 
 def _t01_ceiling(n_max: int) -> int:
     """2**(floor(log3(n_max)) + 1), the classic cap on count_t01_upto."""
-    return 2 << _floor_log(max(n_max, 1), 3)
+    return 2 << _powers_upto(max(n_max, 1), 3, 1, 1)
 
 
 class _ClassEntry(NamedTuple):
@@ -193,13 +173,12 @@ def _spec_union(specs, count) -> _ClassEntry:
     )
 
 
-def _set_entry(spec: SetSpec) -> _ClassEntry:
-    return _spec_union([spec], lambda arr: int(bulk.in_set_mask(arr, spec).sum()))
-
-
-def _coded(kernel: str, code: int) -> "Callable[[np.ndarray], int]":
-    """Chunk counter for the indices where ``bulk.<kernel>`` yields ``code``."""
-    return lambda arr: int((getattr(bulk, kernel)(arr) == code).sum())
+def _coded(kernel: str, *codes) -> "Callable[[np.ndarray], int]":
+    """Chunk counter for the indices where ``bulk.<kernel>`` yields one of ``codes``."""
+    def count(arr):
+        values = getattr(bulk, kernel)(arr)
+        return sum(int(np.count_nonzero(values == code)) for code in codes)
+    return count
 
 
 def _build_registry() -> "dict[str, _ClassEntry]":
@@ -210,24 +189,21 @@ def _build_registry() -> "dict[str, _ClassEntry]":
     limit against hand-computed rationals.
     """
     mod8 = MOD8_CLASS_SPECS
-    registry = {"even": _spec_union(
-        mod8.values(), lambda arr: int((bulk.mod8_kind_codes(arr) != bulk.ODD_CODE).sum()))}
+    registry = {"even": _spec_union(mod8.values(), _coded("mod8_kind_codes", 2, 4, 6))}
     for (eps, delta), spec in mod8.items():
-        registry[f"eps{eps}_delta{delta}"] = _set_entry(spec)
+        registry[f"eps{eps}_delta{delta}"] = _spec_union(
+            [spec], lambda arr, spec=spec: int(bulk.in_set_mask(arr, spec).sum()))
     registry["mod8=4"] = _spec_union([mod8[(1, 1)], mod8[(3, 2)]], _coded("mod8_kind_codes", 4))
     two_six_specs = [mod8[(1, 2)], mod8[(3, 1)]]
-
-    def count_two_or_six(arr):
-        codes = bulk.mod8_kind_codes(arr)
-        return int(((codes == 2) | (codes == 6)).sum())
-
-    two_or_six = _spec_union(two_six_specs, count_two_or_six)
+    two_or_six = _spec_union(two_six_specs, _coded("mod8_kind_codes", 2, 6))
 
     # Half the two-or-six population each, give or take 1/2 per exponent
     # layer: popcount parity is balanced within 1 on every prefix of i.
     def half_bound(n_max):
-        slack = Fraction(sum(_layer_count(n_max, spec) for spec in two_six_specs), 2)
-        return two_or_six.bound(n_max) / 2 + slack
+        layers = sum(_powers_upto(n_max - spec.shift, spec.base,
+                                  spec.exp_step * spec.min_j + spec.exp_offset, spec.exp_step)
+                     for spec in two_six_specs)
+        return two_or_six.bound(n_max) / 2 + Fraction(layers, 2)
 
     for code in (2, 6):
         registry[f"mod8={code}"] = _ClassEntry(
@@ -241,12 +217,10 @@ def _build_registry() -> "dict[str, _ClassEntry]":
     for value in (1, 2):
         registry[f"mod3={value}"] = _ClassEntry(
             Fraction(0), _coded("mod3_values", value), lambda n_max: 2 * _t01_ceiling(n_max))
-    registry["div5"] = _spec_union(
-        DIV5_FORM_SPECS, lambda arr: int((bulk.div5_form_codes(arr) != 0).sum()))
+    registry["div5"] = _spec_union(DIV5_FORM_SPECS, _coded("div5_form_codes", 1, 2, 3, 4))
     for form, spec in enumerate(DIV5_FORM_SPECS, start=1):
         registry[f"div5_form{form}"] = _spec_union([spec], _coded("div5_form_codes", form))
-    registry["t01"] = _ClassEntry(
-        Fraction(0), lambda arr: int(bulk.t01_mask(arr).sum()), _t01_ceiling)
+    registry["t01"] = _ClassEntry(Fraction(0), _coded("t01_mask", True), _t01_ceiling)
     return registry
 
 

@@ -100,3 +100,32 @@ class TestValidation:
     def test_empty_input_ok(self):
         assert bulk.mod8_kind_codes(np.array([], dtype=np.int64)).size == 0
         assert bulk.t01_mask(np.array([], dtype=np.int64)).size == 0
+        assert bulk.mod3_values([]).dtype == np.int64
+
+    @pytest.mark.parametrize("values", [
+        [1.9], [2.7], np.array([2.0]), [True], np.array([1, 2], dtype=object),
+    ])
+    def test_non_integer_dtypes_rejected(self, values):
+        # Truncating a float would classify [1.9] as index 1, a zero-one number.
+        for kernel in (bulk.t01_mask, bulk.mod8_kind_codes, bulk.div5_form_codes):
+            with pytest.raises(ValueError, match="integer dtype"):
+                kernel(values)
+
+    @pytest.mark.parametrize("values", [
+        [2**63], np.array([2**64 - 1], dtype=np.uint64), [2**64], [-1, 2**63],
+        np.array([bulk.MAX_INDEX + 1], dtype=np.uint64), np.array([-1], dtype=object),
+        np.array([bulk.MAX_INDEX + 1], dtype=object),
+    ])
+    def test_out_of_range_values_rejected_whatever_the_dtype(self, values):
+        with pytest.raises(ValueError):
+            bulk.mod3_values(values)
+
+    def test_other_integer_dtypes_accepted(self):
+        expected = bulk.mod8_kind_codes(np.arange(64, dtype=np.int64))
+        for dtype in (np.uint64, np.int32, np.uint8):
+            assert np.array_equal(bulk.mod8_kind_codes(np.arange(64, dtype=dtype)), expected)
+        assert np.array_equal(bulk.mod8_kind_codes(list(range(64))), expected)
+
+    def test_int64_input_is_not_copied(self):
+        arr = np.arange(10, dtype=np.int64)
+        assert bulk._checked(arr) is arr

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from motzkinlab import bulk, checks, engines
+from motzkinlab import bulk, checks, density, engines
 from motzkinlab.cli import main
 from motzkinlab.engines import CEILING_ENV_VAR, iter_motzkin_exact, motzkin_mod_stream
 
@@ -87,9 +87,10 @@ class TestCompute:
         assert out == "n,value\n"
 
     def test_convolution_needs_mod(self, capsys):
-        code, _, err = run(capsys, "compute", "0..5", "--engine", "convolution")
+        code, out, err = run(capsys, "compute", "0..5", "--engine", "convolution")
         assert code == 2
-        assert "requires --mod" in err
+        assert out == ""
+        assert err == "error: engine 'convolution' requires --mod\n"
 
     def test_bad_range(self, capsys):
         assert run(capsys, "compute", "9..2")[0] == 2
@@ -97,7 +98,10 @@ class TestCompute:
         assert run(capsys, "compute", "x..y")[0] == 2
 
     def test_bad_modulus(self, capsys):
-        assert run(capsys, "compute", "0..5", "--mod", "1")[0] == 2
+        code, out, err = run(capsys, "compute", "0..5", "--mod", "1")
+        assert code == 2
+        assert out == ""
+        assert err == "error: --mod must be at least 2\n"
 
     def test_values_past_the_int_digit_limit(self, capsys):
         digit_limit = getattr(sys, "get_int_max_str_digits", lambda: None)
@@ -142,12 +146,13 @@ class TestCompute:
         assert run(capsys, "density", "even", "-N", "10")[0] == 0
 
     @pytest.mark.parametrize("argv", [["compute", "0..10"], ["compute", "0..10", "--mod", "8"],
-                                      ["density", "table"]])
+                                      ["density", "table"], ["density", "even", "-N", "1000"]])
     def test_unopenable_out_is_usage_error(self, capsys, monkeypatch, tmp_path, argv):
         def not_before_the_output_opens(*args):
-            raise AssertionError("residues computed before --out was opened")
+            raise AssertionError("work done before --out was opened")
 
         monkeypatch.setattr(engines, "motzkin_mod_stream", not_before_the_output_opens)
+        monkeypatch.setattr(density, "empirical_density", not_before_the_output_opens)
         target = tmp_path / "missing" / "x.csv"
         code, out, err = run(capsys, *argv, "--out", str(target))
         assert code == 2
@@ -247,7 +252,7 @@ class TestVerify:
         code, out, err = run(capsys, "verify", count, "--mod", "8")
         assert code == 2
         assert out == ""
-        assert err.strip().splitlines()[-1].endswith("count must be non-negative")
+        assert err == "error: count must be non-negative\n"
 
 
 class TestDensity:
@@ -297,21 +302,26 @@ class TestDensity:
         assert isinstance(record["count"], int)
 
     def test_unknown_selector(self, capsys):
-        code, _, err = run(capsys, "density", "mod7=1", "-N", "10")
+        code, out, err = run(capsys, "density", "mod7=1", "-N", "10")
         assert code == 2
-        assert "unknown class selector" in err
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("error: unknown class selector")
 
     def test_missing_horizon(self, capsys):
-        code, _, err = run(capsys, "density", "even")
+        code, out, err = run(capsys, "density", "even")
         assert code == 2
-        assert "horizon" in err
+        assert out == ""
+        assert err == "error: -N/--horizon is required unless --closed\n"
 
     def test_bad_horizon_and_parts(self, capsys):
-        assert run(capsys, "density", "even", "-N", "0")[0] == 2
+        code, out, err = run(capsys, "density", "even", "-N", "0")
+        assert code == 2
+        assert out == ""
+        assert err == "error: -N/--horizon must be at least 1\n"
         code, out, err = run(capsys, "density", "even", "-N", str(10**19))
         assert code == 2
         assert out == ""
-        assert err.strip().splitlines()[-1].endswith(f"must be at most {bulk.MAX_INDEX}")
+        assert err == f"error: -N/--horizon must be at most {bulk.MAX_INDEX}\n"
         for removed in (["--parts", "2"], ["--empirical"], ["--both"]):
             code, _, err = run(capsys, "density", "even", "-N", "10", *removed)
             assert code == 2

@@ -320,6 +320,73 @@ class TestEmpiricalDensity:
             count_class_in_range("even", 5, 4)
 
 
+# Exact bounds.  The tests above only check that bounds hold, so an
+# off-by-one in a truncation index or a layer count could pass them.
+PINNED_HORIZONS = (0, 1, 3, 4, 15, 16, 10**6, 10**30)
+PINNED_SPEC_BOUNDS = [  # classifier_specs order: the mod-8 specs, then the div-5 forms
+    ("6", "6", "6", "6", "33/4", "33/4", "24", "114"),
+    ("6", "6", "6", "6", "33/4", "33/4", "24", "114"),
+    ("6", "6", "6", "6", "35/4", "35/4", "28", "138"),
+    ("6", "6", "6", "6", "35/4", "35/4", "28", "138"),
+    ("27", "27", "146/5", "146/5", "146/5", "146/5", "179/5", "366/5"),
+    ("7", "7", "7", "7", "7", "7", "83/5", "287/5"),
+    ("7", "7", "7", "7", "7", "7", "87/5", "308/5"),
+    ("27", "27", "27", "149/5", "149/5", "149/5", "191/5", "429/5"),
+]
+PINNED_REPORT_HORIZONS = (1, 7, 3**9, 10**5)
+PINNED_REPORT_BOUNDS = {  # error_bound.hex() at each report horizon
+    "even": ("0x1.8000000000000p+4", "0x1.b6db6db6db6dbp+1",
+             "0x1.17af275e9ea62p-8", "0x1.ecd4aa10e0221p-11"),
+    "eps1_delta1": ("0x1.8000000000000p+2", "0x1.b6db6db6db6dbp-1",
+                    "0x1.03b4edb34a2c9p-10", "0x1.c8216c61522a7p-13"),
+    "eps1_delta2": ("0x1.8000000000000p+2", "0x1.b6db6db6db6dbp-1",
+                    "0x1.03b4edb34a2c9p-10", "0x1.c8216c61522a7p-13"),
+    "eps3_delta1": ("0x1.8000000000000p+2", "0x1.b6db6db6db6dbp-1",
+                    "0x1.2ba96109f31fcp-10", "0x1.08c3f3e0370cep-12"),
+    "eps3_delta2": ("0x1.8000000000000p+2", "0x1.b6db6db6db6dbp-1",
+                    "0x1.2ba96109f31fcp-10", "0x1.08c3f3e0370cep-12"),
+    "mod8=4": ("0x1.8000000000000p+3", "0x1.b6db6db6db6dbp+0",
+               "0x1.17af275e9ea62p-9", "0x1.ecd4aa10e0221p-12"),
+    "mod8=2": ("0x1.8000000000000p+2", "0x1.0000000000000p+0",
+               "0x1.74e989d37e32ep-10", "0x1.4a4d2b2bfdb4dp-12"),
+    "mod8=6": ("0x1.8000000000000p+2", "0x1.0000000000000p+0",
+               "0x1.74e989d37e32ep-10", "0x1.4a4d2b2bfdb4dp-12"),
+    "mod4=2": ("0x1.8000000000000p+3", "0x1.b6db6db6db6dbp+0",
+               "0x1.17af275e9ea62p-9", "0x1.ecd4aa10e0221p-12"),
+    "mod3=0": ("0x1.8000000000000p+2", "0x1.b6db6db6db6dbp+0",
+               "0x1.3fa39ab547995p-4", "0x1.f75104d551d69p-5"),
+    "mod3=1": ("0x1.0000000000000p+2", "0x1.2492492492492p+0",
+               "0x1.aa2f78f1b4cc6p-5", "0x1.4f8b588e368f1p-5"),
+    "mod3=2": ("0x1.0000000000000p+2", "0x1.2492492492492p+0",
+               "0x1.aa2f78f1b4cc6p-5", "0x1.4f8b588e368f1p-5"),
+    "div5": ("0x1.1000000000000p+6", "0x1.4db6db6db6db7p+3",
+             "0x1.464c58990e6c8p-8", "0x1.0e0221426fe72p-10"),
+    "div5_form1": ("0x1.b000000000000p+4", "0x1.0af8af8af8af9p+2",
+                   "0x1.bf7ea5643109dp-10", "0x1.7763e4abe6a33p-12"),
+    "div5_form2": ("0x1.c000000000000p+2", "0x1.0000000000000p+0",
+                   "0x1.7a3d54f01d423p-11", "0x1.29cbab649d389p-13"),
+    "div5_form3": ("0x1.c000000000000p+2", "0x1.0000000000000p+0",
+                   "0x1.8a38b645fa704p-11", "0x1.3660e51d25aabp-13"),
+    "div5_form4": ("0x1.b000000000000p+4", "0x1.1075075075075p+2",
+                   "0x1.d777b764fccefp-10", "0x1.908e581cf7879p-12"),
+    "t01": ("0x1.0000000000000p+1", "0x1.2492492492492p-1",
+            "0x1.aa2f78f1b4cc6p-6", "0x1.4f8b588e368f1p-6"),
+}
+
+
+class TestPinnedBounds:
+    def test_count_error_bounds(self, classifier_specs):
+        for spec, expected in zip(classifier_specs, PINNED_SPEC_BOUNDS, strict=True):
+            got = tuple(str(count_error_bound(n_max, spec)) for n_max in PINNED_HORIZONS)
+            assert got == expected, spec
+
+    @pytest.mark.parametrize("label", ALL_LABELS)
+    def test_report_error_bounds(self, label):
+        got = tuple(empirical_density(label, horizon).error_bound.hex()
+                    for horizon in PINNED_REPORT_HORIZONS)
+        assert got == PINNED_REPORT_BOUNDS[label]
+
+
 class TestResidueDistribution:
     def test_mod2_prefix(self):
         rows = empirical_residue_distribution(2, 12)
