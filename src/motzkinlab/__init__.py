@@ -1,10 +1,12 @@
 """Motzkin numbers modulo small moduli.
 
-Exact engines for the Motzkin sequence, digit classifiers that decide
-residue classes mod 2, 4, 8, 3 and 5 from the index alone, and a density
-laboratory that compares exact limit densities with finite-horizon counts.
+Exact engines for the Motzkin sequence, a digit automaton that gives M(n)
+mod m at any index, digit classifiers that decide residue classes mod 2, 4,
+8, 3 and 5 from the index alone, and a density laboratory that compares
+exact limit densities with finite-horizon counts.
 """
 
+from .automaton import motzkin_mod_at
 from .checks import SUPPORTED_MODULI, VerificationReport, verify_classifiers
 from .classify import (
     DIV5_FORM_SPECS,
@@ -93,6 +95,7 @@ __all__ = [
     "iter_motzkin_exact",
     "motzkin_exact",
     "motzkin_exact_stream",
+    "motzkin_mod_at",
     "motzkin_mod_stream",
     "resolve_ceiling",
     "set_density",

@@ -1,29 +1,45 @@
 """Sweeps that confront the digit classifiers with actual Motzkin residues.
 
-A single mismatch falsifies a classifier (or an engine), so the report keeps
-the first offending index for inspection.
+The residues come from the prime-power digit automaton, one index at a time
+through :func:`motzkinlab.engines.iter_motzkin_mod`; the engine
+cross-validation and the acceptance suite check it against the exact
+recurrence.  A single mismatch falsifies a classifier (or the automaton), so
+the report keeps the first few offending indices with the predicted and
+actual residues.
 """
 
 from dataclasses import dataclass
 
 from .classify import classify_div5, classify_mod3, classify_mod8
-from .engines import ensure_within_ceiling, iter_motzkin_exact
+from .engines import ensure_within_ceiling, iter_motzkin_mod
 
 SUPPORTED_MODULI = (2, 3, 4, 5, 8)
+# Mismatches a VerificationReport keeps, in index order.
+KEPT_MISMATCHES = 10
 
 
-def prediction_matches(modulus: int, n: int, residue: int) -> bool:
-    """Does the digit prediction for index n agree with M(n) mod modulus?"""
+def predicted_residue(modulus: int, n: int) -> "int | None":
+    """The residue the digit classifiers name for M(n) mod modulus.
+
+    None where they name only a class: odd (moduli 2, 4, 8) or nonzero
+    (modulus 5).
+    """
     if modulus in (2, 4, 8):
-        predicted = classify_mod8(n).kind.residue_mod(modulus)
-        return residue % 2 == 1 if predicted is None else residue == predicted
+        return classify_mod8(n).kind.residue_mod(modulus)
     if modulus == 3:
-        return classify_mod3(n) == residue
+        return classify_mod3(n)
     if modulus == 5:
-        return classify_div5(n).divisible == (residue == 0)
+        return 0 if classify_div5(n).divisible else None
     raise ValueError(
         f"unsupported modulus {modulus}; expected one of {SUPPORTED_MODULI}"
     )
+
+
+def prediction_matches(modulus: int, predicted: "int | None", residue: int) -> bool:
+    """Does ``residue`` lie in the class that ``predicted`` names?"""
+    if predicted is not None:
+        return residue == predicted
+    return residue != 0 if modulus == 5 else residue % 2 == 1
 
 
 @dataclass(frozen=True)
@@ -31,7 +47,12 @@ class VerificationReport:
     modulus: int
     checked: int
     mismatches: int
-    first_mismatch: "int | None"
+    # The first KEPT_MISMATCHES mismatches as (n, predicted, actual).
+    first_mismatches: "tuple[tuple[int, int | None, int], ...]"
+
+    @property
+    def first_mismatch(self) -> "int | None":
+        return self.first_mismatches[0][0] if self.first_mismatches else None
 
     @property
     def ok(self) -> bool:
@@ -39,7 +60,7 @@ class VerificationReport:
 
 
 def verify_classifiers(modulus: int, count: int) -> VerificationReport:
-    """Compare digit predictions with exact residues for all n < count."""
+    """Compare digit predictions with automaton residues for all n < count."""
     if modulus not in SUPPORTED_MODULI:
         raise ValueError(
             f"unsupported modulus {modulus}; expected one of {SUPPORTED_MODULI}"
@@ -48,13 +69,12 @@ def verify_classifiers(modulus: int, count: int) -> VerificationReport:
         raise ValueError(f"count must be non-negative, got {count}")
     ensure_within_ceiling(count, "sweep length")
     mismatches = 0
-    first = None
-    gen = iter_motzkin_exact()
-    for n in range(count):
-        residue = next(gen) % modulus
-        if not prediction_matches(modulus, n, residue):
+    kept = []
+    for n, residue in enumerate(iter_motzkin_mod(modulus, count)):
+        predicted = predicted_residue(modulus, n)
+        if not prediction_matches(modulus, predicted, residue):
             mismatches += 1
-            if first is None:
-                first = n
+            if len(kept) < KEPT_MISMATCHES:
+                kept.append((n, predicted, residue))
     return VerificationReport(modulus=modulus, checked=count,
-                              mismatches=mismatches, first_mismatch=first)
+                              mismatches=mismatches, first_mismatches=tuple(kept))

@@ -9,6 +9,7 @@ error found after parsing is one ``error:`` line on stderr.
 
 import argparse
 import csv
+import errno
 import itertools
 import json
 import os
@@ -109,6 +110,26 @@ def _write_table(args, columns, rows) -> None:
             _emit(handle, args.format, columns, rows)
 
 
+def _check_writable(path: str) -> None:
+    """Refuse an ``--out`` that cannot be written, without creating or truncating it.
+
+    For a command whose exit code, and so whether it writes at all, is known
+    only after its work.
+    """
+    if os.path.isdir(path):
+        code = errno.EISDIR
+    elif os.path.exists(path):
+        code = None if os.access(path, os.W_OK) else errno.EACCES
+    else:
+        parent = os.path.dirname(path) or "."
+        if not os.path.isdir(parent):
+            code = errno.ENOTDIR if os.path.exists(parent) else errno.ENOENT
+        else:
+            code = None if os.access(parent, os.W_OK | os.X_OK) else errno.EACCES
+    if code is not None:
+        raise _UsageError(f"cannot open --out {path!r}: {os.strerror(code)}")
+
+
 def _ceiling_guard(requested: int, what: str) -> None:
     try:
         engines.ensure_within_ceiling(requested, what)
@@ -196,6 +217,8 @@ def _cmd_verify(args):
     if args.count < 0:
         raise _UsageError("count must be non-negative")
     _ceiling_guard(args.count, "sweep length")
+    if args.out:
+        _check_writable(args.out)
     report = checks.verify_classifiers(args.mod, args.count)
     columns = ("modulus", "checked", "mismatches", "first_mismatch")
     row = (report.modulus, report.checked, report.mismatches, report.first_mismatch)

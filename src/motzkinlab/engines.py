@@ -22,8 +22,15 @@ others:
     is valid for every modulus, including those where ``n + 2`` has no
     inverse.  One numpy path, on exact float64 limb products, serves them all.
 
-``cross_validate_engines`` compares the modular stream against the exact
-recurrence reduced modulo ``m`` and reports the first disagreement, if any.
+A fourth route, the prime-power digit automaton in
+:mod:`motzkinlab.automaton`, reads M(n) mod m off the base-p digits of n; it
+serves the moduli whose prime-power factors stay under its state cap.
+``iter_motzkin_mod`` yields its residues one index at a time; it is the
+residue source of :func:`motzkinlab.checks.verify_classifiers`.
+
+``cross_validate_engines`` compares the modular stream, and the automaton
+where the modulus is within its cap, against the exact recurrence reduced
+modulo ``m`` and reports the first disagreement, if any.
 
 Quadratic-cost requests (single large indices, stream lengths) are capped by
 a ceiling: the environment variable ``MOTZKINLAB_CEILING``, else 10**5.
@@ -34,6 +41,8 @@ from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
+
+from .automaton import StateCapError, motzkin_mod_array
 
 DEFAULT_CEILING = 100_000
 CEILING_ENV_VAR = "MOTZKINLAB_CEILING"
@@ -122,6 +131,16 @@ def motzkin_exact_stream(count: int) -> "list[int]":
     ensure_within_ceiling(count, "stream length")
     gen = iter_motzkin_exact()
     return [next(gen) for _ in range(count)]
+
+
+def iter_motzkin_mod(modulus: int, count: int) -> Iterator[int]:
+    """Yield M(0), ..., M(count - 1) mod ``modulus``, read off the digit automaton.
+
+    The whole stream is computed on the first ``next``, in O(count log count)
+    work; a modulus over the automaton's cap raises
+    :class:`~motzkinlab.automaton.StateCapError` there.
+    """
+    yield from motzkin_mod_array(modulus, count).tolist()
 
 
 @dataclass(frozen=True)
@@ -213,16 +232,24 @@ class CrossValidationReport:
 
 
 def cross_validate_engines(modulus: int, count: int) -> CrossValidationReport:
-    """Compare the convolution stream with the exact recurrence reduced mod m.
+    """Compare the convolution stream, and the automaton where the modulus is
+    within its cap, with the exact recurrence reduced mod m.
 
-    Disagreements are reported, not raised: a mismatch means one of the two
+    Disagreements are reported, not raised: a mismatch means one of the
     engines is wrong, which is exactly what the report exists to surface.
+    ``first_mismatch`` is the smallest index where any engine disagrees with
+    the recurrence.
     """
-    stream = motzkin_mod_stream(modulus, count)
+    streams = [motzkin_mod_stream(modulus, count).values]
+    try:
+        streams.append(motzkin_mod_array(modulus, count).tolist())
+    except StateCapError:
+        pass
     gen = iter_motzkin_exact()
     first = None
     for n in range(count):
-        if next(gen) % modulus != stream.values[n]:
+        expected = next(gen) % modulus
+        if any(stream[n] != expected for stream in streams):
             first = n
             break
     return CrossValidationReport(modulus=modulus, checked=count, first_mismatch=first)

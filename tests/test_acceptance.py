@@ -13,6 +13,7 @@ from fractions import Fraction
 
 import pytest
 
+from motzkinlab.automaton import motzkin_mod_array
 from motzkinlab.classify import (
     DIV5_FORM_SPECS,
     MOD8_CLASS_SPECS,
@@ -67,7 +68,7 @@ def residues_50k():
 
 
 def test_criterion_1_engine_agreement():
-    with criterion(1, "three engines agree pairwise on n < 2000 in under 10 s"):
+    with criterion(1, "four engines agree pairwise on n < 2000 in under 10 s"):
         started = time.perf_counter()
         assert motzkin_exact(9) == 835
         assert motzkin_exact(13) == 41835
@@ -78,6 +79,8 @@ def test_criterion_1_engine_agreement():
             by_convolution = motzkin_mod_stream(modulus, 2000)
             assert list(by_convolution.values) == [v % modulus for v in by_recurrence]
             assert list(by_convolution.values) == [v % modulus for v in by_sum]
+            by_automaton = motzkin_mod_array(modulus, 2000)
+            assert by_automaton.tolist() == [v % modulus for v in by_recurrence]
             assert cross_validate_engines(modulus, 2000).consistent
         elapsed = time.perf_counter() - started
         assert elapsed < 10.0, f"took {elapsed:.1f} s"
@@ -91,10 +94,12 @@ def test_criterion_2_classifier_soundness(residues_50k, capsys):
             output = capsys.readouterr().out
             assert code == 0, f"verify --mod {modulus} exited {code}: {output}"
             assert f"{modulus},{SWEEP},0," in output
-        # the convolution engine reproduces the same oracle residues
+        # the convolution engine and the automaton, verify's residue source,
+        # reproduce the same oracle residues
         for modulus in MODULI:
             stream = motzkin_mod_stream(modulus, SWEEP)
             assert list(stream.values) == residues_50k[modulus], modulus
+            assert motzkin_mod_array(modulus, SWEEP).tolist() == residues_50k[modulus], modulus
 
 
 def test_criterion_3_no_multiple_of_8(residues_50k):

@@ -1,0 +1,133 @@
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from motzkinlab import automaton
+from motzkinlab.automaton import StateCapError, motzkin_mod_array, motzkin_mod_at
+from motzkinlab.classify import classify_div5, classify_mod3, classify_mod8
+from motzkinlab.engines import iter_motzkin_exact
+
+PRIME_POWERS = (2, 3, 4, 5, 8, 9, 16, 25)
+SWEEP = 30_000
+HUGE = 10**30
+
+
+@pytest.fixture(scope="module")
+def exact_30k():
+    gen = iter_motzkin_exact()
+    return [next(gen) for _ in range(SWEEP)]
+
+
+class TestStream:
+    @pytest.mark.parametrize("modulus", PRIME_POWERS)
+    def test_matches_exact_recurrence(self, exact_30k, modulus):
+        residues = motzkin_mod_array(modulus, SWEEP)
+        assert residues.dtype == np.int64
+        assert residues.tolist() == [value % modulus for value in exact_30k]
+
+    @pytest.mark.parametrize("modulus", [40, 72, 61 * 8 * 27])
+    def test_composite_moduli_by_crt(self, exact_30k, modulus):
+        count = 5_000
+        expected = [value % modulus for value in exact_30k[:count]]
+        assert motzkin_mod_array(modulus, count).tolist() == expected
+        assert [motzkin_mod_at(n, modulus) for n in range(0, count, 7)] == expected[::7]
+
+    def test_short_streams(self):
+        assert motzkin_mod_array(8, 0).tolist() == []
+        assert motzkin_mod_array(8, 1).tolist() == [1]
+        assert motzkin_mod_array(9, 12).tolist() == [1, 1, 2, 4, 0, 3, 6, 1, 8, 7, 1, 2]
+
+
+class TestPointQueries:
+    @pytest.mark.parametrize("modulus", PRIME_POWERS)
+    def test_matches_stream(self, modulus):
+        residues = motzkin_mod_array(modulus, SWEEP).tolist()
+        for n in list(range(0, SWEEP, 13)) + list(range(SWEEP - 40, SWEEP)):
+            value = motzkin_mod_at(n, modulus)
+            assert type(value) is int
+            assert value == residues[n], n
+
+    @settings(deadline=None, max_examples=300)
+    @given(st.integers(min_value=0, max_value=HUGE))
+    def test_mod8_matches_classifier(self, n):
+        residue = motzkin_mod_at(n, 8)
+        predicted = classify_mod8(n).kind.residue_mod(8)
+        if predicted is None:
+            assert residue % 2 == 1
+        else:
+            assert residue == predicted
+
+    @settings(deadline=None, max_examples=300)
+    @given(st.integers(min_value=0, max_value=HUGE))
+    def test_mod3_matches_classifier(self, n):
+        assert motzkin_mod_at(n, 3) == classify_mod3(n)
+
+    @settings(deadline=None, max_examples=300)
+    @given(st.integers(min_value=0, max_value=HUGE))
+    def test_mod5_divisibility_matches_classifier(self, n):
+        assert (motzkin_mod_at(n, 5) == 0) == classify_div5(n).divisible
+
+    @settings(deadline=None, max_examples=100)
+    @given(st.integers(min_value=0, max_value=HUGE))
+    def test_composite_is_the_crt_of_its_factors(self, n):
+        assert motzkin_mod_at(n, 72) % 8 == motzkin_mod_at(n, 8)
+        assert motzkin_mod_at(n, 72) % 9 == motzkin_mod_at(n, 9)
+
+    def test_validation(self):
+        with pytest.raises(ValueError):
+            motzkin_mod_at(-1, 8)
+        with pytest.raises(ValueError):
+            motzkin_mod_at(5, 1)
+        with pytest.raises(ValueError):
+            motzkin_mod_array(8, -1)
+
+
+class TestStateCap:
+    @pytest.mark.parametrize("modulus", [
+        pytest.param(10**9 + 7, id="1e9+7"),  # a prime: a table with p columns
+        pytest.param(2**20, id="2^20"),       # 2^19 start states
+        pytest.param(97, id="97"),            # refused during its build
+        pytest.param(1000, id="1000"),        # the factor 125 is refused during its build
+        pytest.param(2**11, id="2^11"),       # refused before their builds
+        pytest.param(3**7, id="3^7"),
+        pytest.param(5**5, id="5^5"),
+        pytest.param(7**4, id="7^4"),
+        pytest.param(2**6, id="2^6"),         # the slowest build that outgrows the cap
+        pytest.param(2**200 + 1, id="2^200+1"),
+    ])
+    def test_over_the_cap_raises_at_once(self, modulus):
+        started = time.perf_counter()
+        with pytest.raises(StateCapError):
+            motzkin_mod_at(HUGE, modulus)
+        with pytest.raises(StateCapError):
+            motzkin_mod_array(modulus, 10)
+        assert time.perf_counter() - started < 1.0
+        assert issubclass(StateCapError, ValueError)
+
+    def test_within_the_cap(self):
+        assert automaton.MAX_TABLE_ENTRIES == 4096
+        for modulus in (27, 61, 63):
+            assert motzkin_mod_at(0, modulus) == 1
+        entries = {q: len(automaton._automaton(p, a).output) * p
+                   for q, p, a in ((8, 2, 3), (16, 2, 4), (25, 5, 2))}
+        assert entries == {8: 250, 16: 1588, 25: 2070}
+
+    def test_tables_are_read_only(self):
+        table = automaton._automaton(2, 3).table
+        with pytest.raises(ValueError):
+            table[0, 0] = 1
+
+    def test_import_builds_nothing(self):
+        code = ("import motzkinlab, motzkinlab.cli, motzkinlab.automaton as a; "
+                "print(a._automaton.cache_info().currsize)")
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True).stdout
+        assert out == "0\n"

@@ -146,13 +146,15 @@ class TestCompute:
         assert run(capsys, "density", "even", "-N", "10")[0] == 0
 
     @pytest.mark.parametrize("argv", [["compute", "0..10"], ["compute", "0..10", "--mod", "8"],
-                                      ["density", "table"], ["density", "even", "-N", "1000"]])
+                                      ["density", "table"], ["density", "even", "-N", "1000"],
+                                      ["verify", "50000", "--mod", "8"]])
     def test_unopenable_out_is_usage_error(self, capsys, monkeypatch, tmp_path, argv):
         def not_before_the_output_opens(*args):
             raise AssertionError("work done before --out was opened")
 
         monkeypatch.setattr(engines, "motzkin_mod_stream", not_before_the_output_opens)
         monkeypatch.setattr(density, "empirical_density", not_before_the_output_opens)
+        monkeypatch.setattr(checks, "verify_classifiers", not_before_the_output_opens)
         target = tmp_path / "missing" / "x.csv"
         code, out, err = run(capsys, *argv, "--out", str(target))
         assert code == 2
@@ -242,10 +244,43 @@ class TestVerify:
         assert code == 1
         assert int(rows[0][2]) > 0
         assert rows[0][3] != ""
+        # The report keeps the first mismatches as (n, predicted, actual).
+        residues = [value % 3 for value in itertools.islice(iter_motzkin_exact(), 100)]
+        wrong = [(n, 1, r) for n, r in enumerate(residues) if r != 1]
+        report = checks.verify_classifiers(3, 100)
+        assert report.first_mismatches == tuple(wrong[:checks.KEPT_MISMATCHES])
+        assert report.mismatches == len(wrong) == int(rows[0][2])
+        assert report.first_mismatch == wrong[0][0] == int(rows[0][3])
 
-    def test_ceiling_exit_code(self, capsys, monkeypatch):
+    def test_odd_and_nonzero_predictions_are_kept_as_none(self, monkeypatch):
+        monkeypatch.setattr(checks, "iter_motzkin_mod", lambda modulus, count: [0] * count)
+        report = checks.verify_classifiers(8, 6)  # M(0), M(1), M(4), M(5) are odd
+        assert report.first_mismatches == ((0, None, 0), (1, None, 0), (2, 2, 0), (3, 4, 0),
+                                           (4, None, 0), (5, None, 0))
+        report = checks.verify_classifiers(5, 6)  # 5 divides none of M(0..5)
+        assert report.first_mismatches == tuple((n, None, 0) for n in range(6))
+
+    def test_ceiling_exit_code(self, capsys, monkeypatch, tmp_path):
         monkeypatch.setenv(CEILING_ENV_VAR, "10")
         assert run(capsys, "verify", "100", "--mod", "3")[0] == 3
+        # An exit-3 run neither creates nor truncates --out.
+        target, kept = tmp_path / "refused.csv", tmp_path / "kept.csv"
+        kept.write_text("old\n")
+        assert run(capsys, "verify", "100", "--mod", "3", "--out", str(target))[0] == 3
+        assert run(capsys, "verify", "100", "--mod", "3", "--out", str(kept))[0] == 3
+        assert not target.exists()
+        assert kept.read_text() == "old\n"
+
+    def test_directory_out_is_usage_error(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.setattr(checks, "verify_classifiers",
+                            lambda *args: pytest.fail("swept before --out was checked"))
+        (tmp_path / "file").write_text("")
+        for target, reason in ((tmp_path, "Is a directory"),
+                               (tmp_path / "file" / "x.csv", "Not a directory")):
+            code, out, err = run(capsys, "verify", "50000", "--mod", "8", "--out", str(target))
+            assert code == 2
+            assert out == ""
+            assert err == f"error: cannot open --out {str(target)!r}: {reason}\n"
 
     @pytest.mark.parametrize("count", ["-5", "-1"])
     def test_negative_count_is_usage_error(self, capsys, count):

@@ -3,6 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from motzkinlab import engines
+from motzkinlab.automaton import motzkin_mod_array
 from motzkinlab.engines import (
     CEILING_ENV_VAR,
     CrossValidationReport,
@@ -165,6 +166,7 @@ class TestCrossValidation:
         assert cross_validate_engines(8, 1000).consistent
         assert cross_validate_engines(3, 1).consistent
         assert cross_validate_engines(5, 2000).consistent
+        assert cross_validate_engines(72, 2000).consistent
 
     def test_report_fields(self):
         report = cross_validate_engines(8, 50)
@@ -179,3 +181,16 @@ class TestCrossValidation:
         report = engines.cross_validate_engines(1000, 20)
         assert not report.consistent
         assert report.first_mismatch == 7
+
+        # The automaton is compared too, wherever the modulus is within its cap.
+        def corrupted_automaton(modulus, count):
+            residues = motzkin_mod_array(modulus, count).copy()
+            residues[4] = (residues[4] + 1) % modulus
+            return residues
+
+        monkeypatch.setattr(engines, "motzkin_mod_array", corrupted_automaton)
+        assert engines.cross_validate_engines(72, 20).first_mismatch == 4
+        assert engines.cross_validate_engines(1000, 20).first_mismatch == 7  # over the cap
+        monkeypatch.setattr(engines, "iter_motzkin_exact", iter_motzkin_exact)
+        assert engines.cross_validate_engines(8, 20).first_mismatch == 4
+        assert engines.cross_validate_engines(97, 20).consistent  # over the cap
