@@ -18,10 +18,10 @@ Its states are the polynomials this reaches; there are finitely many.
 Each prime power's table is built on first use and cached; importing the
 module builds nothing.  The tables are capped at ``MAX_TABLE_ENTRIES``
 (states × p): a prime power that cannot fit is refused before its build
-starts, and a build that outgrows the cap stops.  Both raise
-:class:`StateCapError`.  A modulus is served when it is below 2**63 and each
-of its prime-power factors is; the factors are combined by the Chinese
-remainder theorem.
+starts, and a build that outgrows the cap stops and is not tried again.
+Both raise :class:`StateCapError`.  A modulus is served when it is below
+2**63 and each of its prime-power factors is; the factors are combined by
+the Chinese remainder theorem.
 
 ``motzkin_mod_at(n, m)`` answers one index in O(log n) table steps.
 ``motzkin_mod_array(m, count)`` gives M(0), ..., M(count − 1) mod m as an
@@ -42,6 +42,10 @@ import numpy as np
 # through that do not fit, such as 64, 81, 125 and the primes above 61,
 # outgrow the cap after short builds.
 MAX_TABLE_ENTRIES = 4096
+
+# (p, a) -> why its build outgrew the cap.  ``lru_cache`` keeps no
+# exceptions, so without this a refused build would rerun on every call.
+_REFUSED: "dict[tuple[int, int], str]" = {}
 
 
 class StateCapError(ValueError):
@@ -86,6 +90,8 @@ def _trimmed(low: int, coeffs: np.ndarray):
 
 @lru_cache(maxsize=None)
 def _automaton(p: int, a: int) -> _Automaton:
+    if (p, a) in _REFUSED:
+        raise StateCapError(_REFUSED[p, a])
     modulus, shift = p**a, p ** (a - 1)
     max_states = MAX_TABLE_ENTRIES // p
     index: "dict[tuple[int, bytes], int]" = {}
@@ -98,9 +104,9 @@ def _automaton(p: int, a: int) -> _Automaton:
         if found is not None:
             return found
         if len(states) == max_states:
-            raise StateCapError(
-                f"the automaton mod {p}^{a} has more than {max_states} states, "
-                f"over the cap of {MAX_TABLE_ENTRIES} table entries")
+            _REFUSED[p, a] = (f"the automaton mod {p}^{a} has more than {max_states} "
+                              f"states, over the cap of {MAX_TABLE_ENTRIES} table entries")
+            raise StateCapError(_REFUSED[p, a])
         index[key] = len(states)
         states.append((low, coeffs))
         return len(states) - 1

@@ -82,14 +82,11 @@ def mod8_kind_codes(values) -> np.ndarray:
 
 def t01_mask(values) -> np.ndarray:
     """True where every base-3 digit is 0 or 1."""
-    arr = _checked(values)
-    ok = np.ones(arr.shape, dtype=bool)
-    rest = arr.copy()
-    live = np.flatnonzero(rest > 0)
-    while live.size:
-        ok[live] &= rest[live] % 3 != 2
-        rest[live] //= 3
-        live = live[rest[live] > 0]
+    rest = _checked(values).copy()
+    ok = np.ones(rest.shape, dtype=bool)
+    while rest.any():
+        ok &= rest % 3 != 2
+        rest //= 3
     return ok
 
 

@@ -1,20 +1,22 @@
 """Command-line front end: compute, classify, verify, density.
 
-Each command checks its whole request, then returns its exit code, columns
-and rows; :func:`main` writes them.  Exit codes: 0 success / verified, 1
-verification found mismatches, 2 usage error (also an unopenable ``--out``
-or a malformed ``MOTZKINLAB_CEILING``), 3 resource limit exceeded.  A usage
-error found after parsing is one ``error:`` line on stderr.
+Every command follows one order: it checks its whole request and returns a
+runner, :func:`main` opens stdout or ``--out``, then the runner computes,
+writes its table and returns the exit code.  Exit codes: 0 success /
+verified, 1 verification found mismatches, 2 usage error (also an
+unopenable ``--out`` or a malformed ``MOTZKINLAB_CEILING``), 3 resource
+limit exceeded.  A usage error found after parsing is one ``error:`` line
+on stderr.
 """
 
 import argparse
 import csv
-import errno
+import functools
 import itertools
 import json
 import os
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 
 from . import bulk, checks, density, engines
 from .classify import classify_div5, classify_mod3, classify_mod8
@@ -58,14 +60,23 @@ def _decimal(value) -> str:
 
 
 def _emit(handle, fmt: str, columns, rows) -> None:
-    """One table with a fixed column schema, as CSV (None left empty) or JSON lines."""
-    if fmt == "csv":
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(columns)
-        writer.writerows(rows)
-        return
-    for values in rows:
-        handle.write(json.dumps(dict(zip(columns, values)), separators=(",", ":")) + "\n")
+    """One table with a fixed column schema, as CSV (None left empty) or JSON lines.
+
+    A reader that goes away early (``| head``) ends the output quietly.
+    """
+    try:
+        if fmt == "csv":
+            writer = csv.writer(handle, lineterminator="\n")
+            writer.writerow(columns)
+            writer.writerows(rows)
+        else:
+            for values in rows:
+                handle.write(json.dumps(dict(zip(columns, values)), separators=(",", ":")) + "\n")
+        handle.flush()
+    except BrokenPipeError:
+        # Keep the flushes still to come quiet: the handle's close, the
+        # interpreter's final one (Python's signal docs, "Note on SIGPIPE").
+        os.dup2(os.open(os.devnull, os.O_WRONLY), handle.fileno())
 
 
 @contextmanager
@@ -86,48 +97,22 @@ def _unlimited_int_digits():
         sys.set_int_max_str_digits(previous)
 
 
-def _write_table(args, columns, rows) -> None:
-    """Write the table to ``--out`` or stdout.
-
-    An ``--out`` that cannot be opened is a usage error.  A stdout reader
-    that goes away early (``| head``) ends the output quietly.
-    """
-    with _unlimited_int_digits():
-        if not args.out:
-            try:
-                _emit(sys.stdout, args.format, columns, rows)
-                sys.stdout.flush()
-            except BrokenPipeError:
-                # Keep the interpreter's final flush quiet (Python's signal
-                # docs, "Note on SIGPIPE").
-                os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-            return
-        try:
-            handle = open(args.out, "w", encoding="utf-8", newline="")
-        except OSError as exc:
-            raise _UsageError(f"cannot open --out {args.out!r}: {exc.strerror}") from None
-        with handle:
-            _emit(handle, args.format, columns, rows)
+def _open_out(path):
+    """``--out`` opened for writing, or stdout; an unopenable path is a usage error."""
+    if not path:
+        return nullcontext(sys.stdout)
+    try:
+        return open(path, "w", encoding="utf-8", newline="")
+    except OSError as exc:
+        raise _UsageError(f"cannot open --out {path!r}: {exc.strerror}") from None
 
 
-def _check_writable(path: str) -> None:
-    """Refuse an ``--out`` that cannot be written, without creating or truncating it.
-
-    For a command whose exit code, and so whether it writes at all, is known
-    only after its work.
-    """
-    if os.path.isdir(path):
-        code = errno.EISDIR
-    elif os.path.exists(path):
-        code = None if os.access(path, os.W_OK) else errno.EACCES
-    else:
-        parent = os.path.dirname(path) or "."
-        if not os.path.isdir(parent):
-            code = errno.ENOTDIR if os.path.exists(parent) else errno.ENOENT
-        else:
-            code = None if os.access(parent, os.W_OK | os.X_OK) else errno.EACCES
-    if code is not None:
-        raise _UsageError(f"cannot open --out {path!r}: {os.strerror(code)}")
+def _table(columns, rows):
+    """A runner that writes one table and succeeds; lazy rows are computed as written."""
+    def run(emit) -> int:
+        emit(columns, rows)
+        return EXIT_OK
+    return run
 
 
 def _ceiling_guard(requested: int, what: str) -> None:
@@ -173,7 +158,7 @@ def _cmd_compute(args):
         else:
             _ceiling_guard(hi, "stream length")
     columns = ("n", "value") if args.mod is None else ("n", "residue")
-    return EXIT_OK, columns, _compute_rows(engine, lo, hi, args.mod)
+    return _table(columns, _compute_rows(engine, lo, hi, args.mod))
 
 
 _CLASSIFY_COLUMNS = {
@@ -210,39 +195,20 @@ def _classify_row(modulus: int, n: int):
 def _cmd_classify(args):
     lo, hi = args.range
     rows = (_classify_row(args.mod, n) for n in range(lo, hi))
-    return EXIT_OK, _CLASSIFY_COLUMNS[args.mod], rows
+    return _table(_CLASSIFY_COLUMNS[args.mod], rows)
 
 
 def _cmd_verify(args):
     if args.count < 0:
         raise _UsageError("count must be non-negative")
     _ceiling_guard(args.count, "sweep length")
-    if args.out:
-        _check_writable(args.out)
-    report = checks.verify_classifiers(args.mod, args.count)
-    columns = ("modulus", "checked", "mismatches", "first_mismatch")
-    row = (report.modulus, report.checked, report.mismatches, report.first_mismatch)
-    return (EXIT_OK if report.ok else EXIT_VERIFICATION_FAILED), columns, [row]
 
-
-_CLOSED_COLUMNS = ("label", "limit", "limit_decimal")
-_EMPIRICAL_COLUMNS = ("label", "limit", "limit_decimal", "N", "count",
-                      "ratio", "abs_discrepancy", "error_bound")
-
-
-def _empirical_rows(selector: str, horizon: int):
-    """The one report row, swept only once the output is open."""
-    report = density.empirical_density(selector, horizon)
-    yield (
-        report.label,
-        _fraction_str(report.limit_value),
-        _decimal(report.limit_value),
-        report.horizon,
-        report.observed_count,
-        _decimal(report.observed_ratio),
-        _decimal(report.abs_discrepancy),
-        _decimal(report.error_bound),
-    )
+    def run(emit) -> int:
+        report = checks.verify_classifiers(args.mod, args.count)
+        emit(("modulus", "checked", "mismatches", "first_mismatch"),
+             [(report.modulus, report.checked, report.mismatches, report.first_mismatch)])
+        return EXIT_OK if report.ok else EXIT_VERIFICATION_FAILED
+    return run
 
 
 def _cmd_density(args):
@@ -254,15 +220,31 @@ def _cmd_density(args):
         except ValueError as exc:
             raise _UsageError(str(exc)) from None
     if args.selector == "table" or args.closed:
-        return EXIT_OK, _CLOSED_COLUMNS, [
-            (label, _fraction_str(value), _decimal(value)) for label, value in limits]
+        return _table(("label", "limit", "limit_decimal"),
+                      [(label, _fraction_str(value), _decimal(value)) for label, value in limits])
     if args.horizon is None:
         raise _UsageError("-N/--horizon is required unless --closed")
     if args.horizon < 1:
         raise _UsageError("-N/--horizon must be at least 1")
     if args.horizon > bulk.MAX_INDEX:
         raise _UsageError(f"-N/--horizon must be at most {bulk.MAX_INDEX}")
-    return EXIT_OK, _EMPIRICAL_COLUMNS, _empirical_rows(args.selector, args.horizon)
+
+    def run(emit) -> int:
+        report = density.empirical_density(args.selector, args.horizon)
+        emit(("label", "limit", "limit_decimal", "N", "count",
+              "ratio", "abs_discrepancy", "error_bound"),
+             [(
+                 report.label,
+                 _fraction_str(report.limit_value),
+                 _decimal(report.limit_value),
+                 report.horizon,
+                 report.observed_count,
+                 _decimal(report.observed_ratio),
+                 _decimal(report.abs_discrepancy),
+                 _decimal(report.error_bound),
+             )])
+        return EXIT_OK
+    return run
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -324,9 +306,9 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-        code, columns, rows = args.func(args)
-        _write_table(args, columns, rows)
-        return code
+        run = args.func(args)
+        with _open_out(args.out) as handle, _unlimited_int_digits():
+            return run(functools.partial(_emit, handle, args.format))
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     except _UsageError as exc:

@@ -111,6 +111,21 @@ class TestStateCap:
         assert time.perf_counter() - started < 1.0
         assert issubclass(StateCapError, ValueError)
 
+    @pytest.mark.parametrize("modulus", [64, 81, 97])
+    def test_a_refused_build_is_not_repeated(self, monkeypatch, modulus):
+        with pytest.raises(StateCapError) as first:
+            motzkin_mod_at(HUGE, modulus)
+        built = []
+        real_trimmed = automaton._trimmed
+        monkeypatch.setattr(automaton, "_trimmed",
+                            lambda *args: built.append(args) or real_trimmed(*args))
+        for again in (lambda: motzkin_mod_at(HUGE, modulus),
+                      lambda: motzkin_mod_array(modulus, 10)):
+            with pytest.raises(StateCapError) as second:
+                again()
+            assert str(second.value) == str(first.value)
+        assert built == []
+
     def test_within_the_cap(self):
         assert automaton.MAX_TABLE_ENTRIES == 4096
         for modulus in (27, 61, 63):

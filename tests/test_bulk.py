@@ -28,6 +28,24 @@ def window(start: int, length: int) -> np.ndarray:
     return np.arange(start, start + length, dtype=np.int64)
 
 
+def assert_kernels_match_scalars(indices) -> None:
+    """Every kernel, element by element, against the scalar classifiers."""
+    arr = np.array(indices, dtype=np.int64)
+    codes = bulk.mod8_kind_codes(arr)
+    values3 = bulk.mod3_values(arr)
+    forms5 = bulk.div5_form_codes(arr)
+    t01 = bulk.t01_mask(arr)
+    specs = list(MOD8_CLASS_SPECS.values()) + list(DIV5_FORM_SPECS)
+    masks = [bulk.in_set_mask(arr, spec) for spec in specs]
+    for offset, n in enumerate(indices):
+        assert codes[offset] == KIND_TO_CODE[classify_mod8(n).kind]
+        assert values3[offset] == classify_mod3(n)
+        assert forms5[offset] == (classify_div5(n).form or 0)
+        assert t01[offset] == is_t01(n)
+        for spec, mask in zip(specs, masks):
+            assert mask[offset] == (is_in_set(n, spec) is not None)
+
+
 class TestFactorOut:
     def test_matches_scalar(self):
         arr = window(1, 4000)
@@ -76,16 +94,24 @@ class TestKernelsMatchScalars:
         length=st.integers(min_value=1, max_value=200),
     )
     def test_random_windows(self, start, length):
-        arr = window(start, length)
-        codes = bulk.mod8_kind_codes(arr)
-        values3 = bulk.mod3_values(arr)
-        forms5 = bulk.div5_form_codes(arr)
-        t01 = bulk.t01_mask(arr)
-        for offset, n in enumerate(range(start, start + length)):
-            assert codes[offset] == KIND_TO_CODE[classify_mod8(n).kind]
-            assert values3[offset] == classify_mod3(n)
-            assert forms5[offset] == (classify_div5(n).form or 0)
-            assert t01[offset] == is_t01(n)
+        assert_kernels_match_scalars(list(range(start, start + length)))
+
+    # Scattered indices: 0, small values, values near MAX_INDEX, and the
+    # boundaries of witness families, so both classes appear at every scale
+    # (2·3^k is the one base-3 digit 2, in the top place).
+    _FAMILY_MEMBERS = sorted({v for k in range(40) for v in (
+        4**k - 1, 4**k - 2, 2 * 5**k - 1, 3 * 5**k - 2, 3**k, (3**k - 1) // 2, 2 * 3**k)
+        if 0 <= v <= bulk.MAX_INDEX})
+
+    @settings(deadline=None, max_examples=60)
+    @given(st.lists(st.one_of(
+        st.just(0),
+        st.integers(min_value=1, max_value=1000),
+        st.integers(min_value=bulk.MAX_INDEX - 10**6, max_value=bulk.MAX_INDEX),
+        st.sampled_from(_FAMILY_MEMBERS),
+    ), min_size=1, max_size=60))
+    def test_scattered_indices(self, indices):
+        assert_kernels_match_scalars(indices)
 
 
 class TestValidation:

@@ -400,6 +400,18 @@ class TestClosedPipe:
         assert proc.returncode == 0
         assert err == b""
 
+    def test_out_naming_the_closed_pipe_ends_quietly(self, unbuffered):
+        proc = self.start("import sys; from motzkinlab.cli import main; "
+                          "sys.exit(main(['classify', '0..200000', '--mod', '8', "
+                          "'--out', '/dev/stdout']))",
+                          unbuffered)
+        line = proc.stdout.readline()
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+        assert line == b"n,class,eps,delta,i,j,y\n"
+        assert proc.returncode == 0
+        assert err == b""
+
     def test_verdict_survives_a_closed_reader(self, unbuffered):
         proc = self.start("import sys; from motzkinlab import checks; "
                           "from motzkinlab.cli import main; "
