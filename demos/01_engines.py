@@ -1,17 +1,19 @@
 #!/usr/bin/env python3
-"""Three independent ways to produce Motzkin numbers, checking each other.
+"""Four independent ways to produce Motzkin numbers, checking each other.
 
 The sequence M(0), M(1), ... = 1, 1, 2, 4, 9, 21, 51, 127, ... can be built
 from the defining binomial-Catalan sum, from a three-term recurrence over
-exact integers, or modulo m from a division-free convolution.  Agreement
-between unrelated methods is the whole point: a bug in one engine cannot
-hide in the others.
+exact integers, modulo m from a division-free convolution, or modulo a
+prime power (and products of them) from a digit automaton that reads the
+base-p digits of n.  Agreement between unrelated methods is the whole
+point: a bug in one engine cannot hide in the others.
 """
 
 from motzkinlab import (
     cross_validate_engines,
     motzkin_exact,
     motzkin_exact_stream,
+    motzkin_mod_at,
     motzkin_mod_stream,
 )
 
@@ -31,7 +33,10 @@ print("  ", list(stream.values))
 print("\nResidues mod 5 of the same prefix:")
 print("  ", list(motzkin_mod_stream(5, 40).values))
 
-print("\nCross-validating convolution against the exact recurrence:")
+print("\nM(10^30) mod 8 from the digit automaton, far past any stream:")
+print("  ", motzkin_mod_at(10**30, 8))
+
+print("\nCross-validating the convolution and the automaton against the exact recurrence:")
 for modulus in (2, 3, 4, 5, 8):
     report = cross_validate_engines(modulus, 3000)
     status = "consistent" if report.consistent else f"MISMATCH at {report.first_mismatch}"

@@ -2,14 +2,16 @@
 
 These kernels stream int64 index arrays so that density sweeps over tens of
 millions of indices stay fast.  Each one mirrors a function in
-:mod:`motzkinlab.classify`; the test suite holds them to exact agreement.
+:mod:`motzkinlab.classify`; ``classify_div5``'s vector form is the four
+:func:`in_set_mask` calls over ``DIV5_FORM_SPECS``.  The test suite holds
+them to exact agreement.
 Indices must be integers (any integer dtype), non-negative, and leave
 headroom for n + 2 in int64.
 """
 
 import numpy as np
 
-from .classify import DIV5_FORM_SPECS, SetSpec
+from .classify import SetSpec
 
 MAX_INDEX = int(np.iinfo(np.int64).max) - 2
 
@@ -97,15 +99,3 @@ def mod3_values(values) -> np.ndarray:
     third = (arr + (3 - rem) % 3) // 3  # n/3, (n+2)/3 or (n+1)/3 by residue
     hit = t01_mask(third)
     return np.where(hit, np.where(rem == 2, 2, 1), 0)
-
-
-def div5_form_codes(values) -> np.ndarray:
-    """0 where 5 does not divide M(n), else the matching form 1..4."""
-    arr = _checked(values)
-    out = np.zeros(arr.shape, dtype=np.int64)
-    for form, spec in enumerate(DIV5_FORM_SPECS, start=1):
-        hit = in_set_mask(arr, spec)
-        if (hit & (out != 0)).any():
-            raise AssertionError("overlapping divisibility forms")
-        out[hit] = form
-    return out

@@ -5,8 +5,8 @@ runner, :func:`main` opens stdout or ``--out``, then the runner computes,
 writes its table and returns the exit code.  Exit codes: 0 success /
 verified, 1 verification found mismatches, 2 usage error (also an
 unopenable ``--out`` or a malformed ``MOTZKINLAB_CEILING``), 3 resource
-limit exceeded.  A usage error found after parsing is one ``error:`` line
-on stderr.
+limit exceeded (also a failed write other than a closed pipe).  A usage or
+resource error is one ``error:`` line on stderr.
 """
 
 import argparse
@@ -62,7 +62,8 @@ def _decimal(value) -> str:
 def _emit(handle, fmt: str, columns, rows) -> None:
     """One table with a fixed column schema, as CSV (None left empty) or JSON lines.
 
-    A reader that goes away early (``| head``) ends the output quietly.
+    A reader that goes away early (``| head``) ends the output quietly; any
+    other failed write (a full disk) is a resource error, exit 3.
     """
     try:
         if fmt == "csv":
@@ -73,10 +74,12 @@ def _emit(handle, fmt: str, columns, rows) -> None:
             for values in rows:
                 handle.write(json.dumps(dict(zip(columns, values)), separators=(",", ":")) + "\n")
         handle.flush()
-    except BrokenPipeError:
+    except OSError as exc:
         # Keep the flushes still to come quiet: the handle's close, the
         # interpreter's final one (Python's signal docs, "Note on SIGPIPE").
         os.dup2(os.open(os.devnull, os.O_WRONLY), handle.fileno())
+        if not isinstance(exc, BrokenPipeError):
+            raise engines.ResourceLimitError(f"cannot write output: {exc.strerror}") from None
 
 
 @contextmanager

@@ -15,8 +15,8 @@ other so they can cross-check:
 Each class label has one entry in an ordered registry that holds its
 limit, its per-chunk kernel count and its error bound; the registry labels
 are the only selectors.  Classes that are disjoint unions of
-:class:`SetSpec` families derive the limit and bound by summing over their
-specs.
+:class:`SetSpec` families derive the limit, the bound and the count by
+summing over their specs.
 """
 
 from collections.abc import Callable
@@ -153,8 +153,8 @@ def _t01_ceiling(n_max: int) -> int:
 class _ClassEntry(NamedTuple):
     """Everything the density lab knows about one residue class.
 
-    ``count`` counts the members in one int64 chunk of indices through a
-    :mod:`motzkinlab.bulk` kernel, looked up on ``bulk`` at call time;
+    ``count`` counts the members in one int64 chunk of indices through the
+    :mod:`motzkinlab.bulk` kernels, looked up on ``bulk`` at call time;
     ``bound(n_max)`` caps |members in [0, n_max] - n_max * limit|.
     """
 
@@ -163,9 +163,21 @@ class _ClassEntry(NamedTuple):
     bound: "Callable[[int], Fraction]"
 
 
-def _spec_union(specs, count) -> _ClassEntry:
-    """Entry for a disjoint union of SetSpec families: limits and bounds add."""
+def _spec_union(specs) -> _ClassEntry:
+    """Entry for a disjoint union of SetSpec families: limits, bounds and counts add.
+
+    A chunk's count sums one ``bulk.in_set_mask`` per spec; with several
+    specs, a member of two masks raises AssertionError, which survives ``-O``.
+    """
     specs = tuple(specs)
+
+    def count(arr):
+        masks = [bulk.in_set_mask(arr, spec) for spec in specs]
+        total = int(sum(map(np.count_nonzero, masks)))
+        if len(masks) > 1 and total != np.count_nonzero(np.logical_or.reduce(masks)):
+            raise AssertionError("overlapping families in a spec union")
+        return total
+
     return _ClassEntry(
         limit=sum(map(set_density, specs), Fraction(0)),
         count=count,
@@ -173,29 +185,25 @@ def _spec_union(specs, count) -> _ClassEntry:
     )
 
 
-def _coded(kernel: str, *codes) -> "Callable[[np.ndarray], int]":
-    """Chunk counter for the indices where ``bulk.<kernel>`` yields one of ``codes``."""
-    def count(arr):
-        values = getattr(bulk, kernel)(arr)
-        return sum(int(np.count_nonzero(values == code)) for code in codes)
-    return count
+def _coded(kernel: str, code) -> "Callable[[np.ndarray], int]":
+    """Chunk counter for the indices where ``bulk.<kernel>`` yields ``code``."""
+    return lambda arr: int(np.count_nonzero(getattr(bulk, kernel)(arr) == code))
 
 
 def _build_registry() -> "dict[str, _ClassEntry]":
     """Every class label, in table order, with its entry.
 
-    Limits and bounds of spec unions are derived from their specs; the
-    mod 3 and zero-one entries state theirs.  The test suite checks every
-    limit against hand-computed rationals.
+    Limits, bounds and counts of spec unions are derived from their specs;
+    the mod8=2 and mod8=6 halves, mod 3 and zero-one entries state theirs.
+    The test suite checks every limit against hand-computed rationals.
     """
     mod8 = MOD8_CLASS_SPECS
-    registry = {"even": _spec_union(mod8.values(), _coded("mod8_kind_codes", 2, 4, 6))}
+    registry = {"even": _spec_union(mod8.values())}
     for (eps, delta), spec in mod8.items():
-        registry[f"eps{eps}_delta{delta}"] = _spec_union(
-            [spec], lambda arr, spec=spec: int(bulk.in_set_mask(arr, spec).sum()))
-    registry["mod8=4"] = _spec_union([mod8[(1, 1)], mod8[(3, 2)]], _coded("mod8_kind_codes", 4))
+        registry[f"eps{eps}_delta{delta}"] = _spec_union([spec])
+    registry["mod8=4"] = _spec_union([mod8[(1, 1)], mod8[(3, 2)]])
     two_six_specs = [mod8[(1, 2)], mod8[(3, 1)]]
-    two_or_six = _spec_union(two_six_specs, _coded("mod8_kind_codes", 2, 6))
+    two_or_six = _spec_union(two_six_specs)
 
     # Half the two-or-six population each, give or take 1/2 per exponent
     # layer: popcount parity is balanced within 1 on every prefix of i.
@@ -217,9 +225,9 @@ def _build_registry() -> "dict[str, _ClassEntry]":
     for value in (1, 2):
         registry[f"mod3={value}"] = _ClassEntry(
             Fraction(0), _coded("mod3_values", value), lambda n_max: 2 * _t01_ceiling(n_max))
-    registry["div5"] = _spec_union(DIV5_FORM_SPECS, _coded("div5_form_codes", 1, 2, 3, 4))
+    registry["div5"] = _spec_union(DIV5_FORM_SPECS)
     for form, spec in enumerate(DIV5_FORM_SPECS, start=1):
-        registry[f"div5_form{form}"] = _spec_union([spec], _coded("div5_form_codes", form))
+        registry[f"div5_form{form}"] = _spec_union([spec])
     registry["t01"] = _ClassEntry(Fraction(0), _coded("t01_mask", True), _t01_ceiling)
     return registry
 

@@ -28,19 +28,25 @@ def window(start: int, length: int) -> np.ndarray:
     return np.arange(start, start + length, dtype=np.int64)
 
 
+def assert_masks_name_div5_form(masks, offset: int, n: int) -> None:
+    """The DIV5_FORM_SPECS masks at ``offset`` name classify_div5(n).form, or none."""
+    named = [form for form, mask in enumerate(masks, start=1) if mask[offset]]
+    form = classify_div5(n).form
+    assert named == ([form] if form else [])
+
+
 def assert_kernels_match_scalars(indices) -> None:
     """Every kernel, element by element, against the scalar classifiers."""
     arr = np.array(indices, dtype=np.int64)
     codes = bulk.mod8_kind_codes(arr)
     values3 = bulk.mod3_values(arr)
-    forms5 = bulk.div5_form_codes(arr)
     t01 = bulk.t01_mask(arr)
     specs = list(MOD8_CLASS_SPECS.values()) + list(DIV5_FORM_SPECS)
     masks = [bulk.in_set_mask(arr, spec) for spec in specs]
     for offset, n in enumerate(indices):
         assert codes[offset] == KIND_TO_CODE[classify_mod8(n).kind]
         assert values3[offset] == classify_mod3(n)
-        assert forms5[offset] == (classify_div5(n).form or 0)
+        assert_masks_name_div5_form(masks[len(MOD8_CLASS_SPECS):], offset, n)
         assert t01[offset] == is_t01(n)
         for spec, mask in zip(specs, masks):
             assert mask[offset] == (is_in_set(n, spec) is not None)
@@ -72,9 +78,10 @@ class TestKernelsMatchScalars:
             assert values[n] == classify_mod3(n)
 
     def test_div5_prefix(self):
-        forms = bulk.div5_form_codes(window(0, 4000))
+        arr = window(0, 4000)
+        masks = [bulk.in_set_mask(arr, spec) for spec in DIV5_FORM_SPECS]
         for n in range(4000):
-            assert forms[n] == (classify_div5(n).form or 0)
+            assert_masks_name_div5_form(masks, n, n)
 
     def test_t01_prefix(self):
         mask = bulk.t01_mask(window(0, 4000))
@@ -133,7 +140,7 @@ class TestValidation:
     ])
     def test_non_integer_dtypes_rejected(self, values):
         # Truncating a float would classify [1.9] as index 1, a zero-one number.
-        for kernel in (bulk.t01_mask, bulk.mod8_kind_codes, bulk.div5_form_codes):
+        for kernel in (bulk.t01_mask, bulk.mod8_kind_codes, bulk.mod3_values):
             with pytest.raises(ValueError, match="integer dtype"):
                 kernel(values)
 

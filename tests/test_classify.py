@@ -312,12 +312,12 @@ class TestInvariantsUnderOptimize:
         ("bulk.factor_out = lambda values, base: (np.ones_like(values),) * 2",
          "bulk.mod8_kind_codes(np.arange(8))", "overlapping (eps, delta) witnesses"),
         ("bulk.in_set_mask = lambda values, spec: np.ones(len(values), dtype=bool)",
-         "bulk.div5_form_codes(np.arange(8))", "overlapping divisibility forms"),
-    ], ids=["classify_mod8", "classify_div5", "mod8_kind_codes", "div5_form_codes"])
+         "density.count_class_in_range('even', 0, 8)", "overlapping families in a spec union"),
+    ], ids=["classify_mod8", "classify_div5", "mod8_kind_codes", "spec_union"])
     def test_two_witnesses_raise(self, patch, call, message):
         script = "\n".join([
             "import numpy as np",
-            "from motzkinlab import bulk, classify",
+            "from motzkinlab import bulk, classify, density",
             patch,
             "try:",
             f"    {call}",

@@ -422,3 +422,25 @@ class TestClosedPipe:
         _, err = proc.communicate(timeout=60)
         assert proc.returncode == 1
         assert err == b""
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+class TestFailedWrite:
+    """A failed write other than a closed pipe is one ``error:`` line and exit 3."""
+
+    @pytest.mark.parametrize("command", [["compute", "0..10", "--mod", "8"],
+                                         ["verify", "100", "--mod", "8"]],
+                             ids=["compute", "verify"])
+    @pytest.mark.parametrize("via_out", [True, False], ids=["out", "stdout"])
+    def test_full_device(self, command, via_out):
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+        argv = command + (["--out", "/dev/full"] if via_out else [])
+        with open("/dev/full", "wb") as full:
+            result = subprocess.run([sys.executable, "-m", "motzkinlab.cli", *argv], env=env,
+                                    stdout=subprocess.PIPE if via_out else full,
+                                    stderr=subprocess.PIPE, timeout=60)
+        assert result.returncode == 3
+        assert not result.stdout  # None where stdout is /dev/full itself
+        lines = result.stderr.decode().splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: cannot write output: ")

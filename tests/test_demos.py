@@ -1,5 +1,6 @@
-"""Smoke test: every demo script runs to completion against the package."""
+"""Smoke tests: every demo script and the README quick tour run against the package."""
 
+import doctest
 import os
 import subprocess
 import sys
@@ -21,3 +22,12 @@ def test_demo_runs(demo):
     result = subprocess.run([sys.executable, str(demo)], env=env, cwd=ROOT,
                             capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
+
+
+def test_readme_quick_tour():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = readme.split("```python\n", 1)[1].split("```", 1)[0]
+    tour = doctest.DocTestParser().get_doctest(block, {}, "README quick tour", "README.md", 0)
+    result = doctest.DocTestRunner().run(tour)
+    assert result.attempted > 0
+    assert result.failed == 0

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from motzkinlab.bulk import MAX_INDEX
 from motzkinlab.classify import (
     DIV5_FORM_SPECS,
     MOD8_CLASS_SPECS,
@@ -249,6 +250,16 @@ def scalar_class_count(selector, lo, hi):
 
 ALL_LABELS = [label for label, _ in density_table()]
 
+# Every label that is a disjoint union of SetSpec families, with its specs.
+SPEC_UNIONS = {
+    "even": list(MOD8_CLASS_SPECS.values()),
+    **{f"eps{eps}_delta{delta}": [spec] for (eps, delta), spec in MOD8_CLASS_SPECS.items()},
+    "mod8=4": [MOD8_CLASS_SPECS[(1, 1)], MOD8_CLASS_SPECS[(3, 2)]],
+    "mod4=2": [MOD8_CLASS_SPECS[(1, 2)], MOD8_CLASS_SPECS[(3, 1)]],
+    "div5": list(DIV5_FORM_SPECS),
+    **{f"div5_form{form}": [spec] for form, spec in enumerate(DIV5_FORM_SPECS, start=1)},
+}
+
 
 class TestEmpiricalDensity:
     @pytest.mark.parametrize("selector", ALL_LABELS)
@@ -281,15 +292,18 @@ class TestEmpiricalDensity:
         assert report.abs_discrepancy == pytest.approx(float(expected))
 
     def test_spec_counts_match_count_set_exact(self):
-        labelled = [(f"eps{eps}_delta{delta}", spec)
-                    for (eps, delta), spec in MOD8_CLASS_SPECS.items()]
-        labelled += [(f"div5_form{form}", spec)
-                     for form, spec in enumerate(DIV5_FORM_SPECS, start=1)]
-        for label, spec in labelled:
+        # The digit-kernel sweep against the exact counters, from 0 and on
+        # windows far past those the scalar-classifier comparisons reach.
+        windows = [(2**62, 2**62 + 2**16), (MAX_INDEX - 3000, MAX_INDEX)]
+        for label, specs in SPEC_UNIONS.items():
             report = empirical_density(label, 20_000)
-            assert report.observed_count == count_set_exact(19_999, spec)
-            assert report.limit_value == set_density(spec)
+            assert report.observed_count == sum(count_set_exact(19_999, s) for s in specs)
+            assert report.limit_value == sum(set_density(s) for s in specs)
             assert report.label == label
+            for lo, hi in windows:
+                expected = sum(count_set_exact(hi - 1, s) - count_set_exact(lo - 1, s)
+                               for s in specs)
+                assert count_class_in_range(label, lo, hi) == expected, (label, lo)
 
     @pytest.mark.parametrize("selector", ALL_LABELS)
     def test_error_bound_dominates_discrepancy(self, selector):
