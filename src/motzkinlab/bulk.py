@@ -2,8 +2,8 @@
 
 These kernels stream int64 index arrays so that density sweeps over tens of
 millions of indices stay fast.  Each one mirrors a function in
-:mod:`motzkinlab.classify`; ``classify_div5``'s vector form is the four
-:func:`in_set_mask` calls over ``DIV5_FORM_SPECS``.  The test suite holds
+:mod:`motzkinlab.classify`; ``classify_div5``'s vector form is
+:func:`in_set_masks` over ``DIV5_FORM_SPECS``.  The test suite holds
 them to exact agreement.
 Indices must be integers (any integer dtype), non-negative, and leave
 headroom for n + 2 in int64.
@@ -48,19 +48,35 @@ def factor_out(values: np.ndarray, base: int) -> "tuple[np.ndarray, np.ndarray]"
     return units, exponents
 
 
+def in_set_masks(values, specs) -> "list[np.ndarray]":
+    """One boolean mask per spec, matching classify.is_in_set.
+
+    Specs that share a (base, shift) pair share one :func:`factor_out` pass.
+    """
+    arr = _checked(values)
+    top = int(arr.max()) if arr.size else 0
+    factored = {}
+    masks = []
+    for spec in specs:
+        key = spec.base, spec.shift
+        if key not in factored:
+            if arr.size and spec.shift < 0 and top - spec.shift > MAX_INDEX + 2:
+                raise ValueError("shifted indices would overflow int64")
+            shifted = arr - spec.shift
+            positive = shifted > 0
+            factored[key] = (positive, *factor_out(np.where(positive, shifted, 1), spec.base))
+        positive, units, exponents = factored[key]
+        ok = positive.copy()
+        ok &= units % spec.base == spec.residue
+        ok &= exponents >= spec.exp_step * spec.min_j + spec.exp_offset
+        ok &= (exponents - spec.exp_offset) % spec.exp_step == 0
+        masks.append(ok)
+    return masks
+
+
 def in_set_mask(values, spec: SetSpec) -> np.ndarray:
     """Boolean mask of membership in ``spec``, matching classify.is_in_set."""
-    arr = _checked(values)
-    if arr.size and spec.shift < 0 and int(arr.max()) - spec.shift > MAX_INDEX + 2:
-        raise ValueError("shifted indices would overflow int64")
-    shifted = arr - spec.shift
-    positive = shifted > 0
-    units, exponents = factor_out(np.where(positive, shifted, 1), spec.base)
-    ok = positive.copy()
-    ok &= units % spec.base == spec.residue
-    ok &= exponents >= spec.exp_step * spec.min_j + spec.exp_offset
-    ok &= (exponents - spec.exp_offset) % spec.exp_step == 0
-    return ok
+    return in_set_masks(values, [spec])[0]
 
 
 def mod8_kind_codes(values) -> np.ndarray:

@@ -5,12 +5,13 @@ runner, :func:`main` opens stdout or ``--out``, then the runner computes,
 writes its table and returns the exit code.  Exit codes: 0 success /
 verified, 1 verification found mismatches, 2 usage error (also an
 unopenable ``--out`` or a malformed ``MOTZKINLAB_CEILING``), 3 resource
-limit exceeded (also a failed write other than a closed pipe).  A usage or
-resource error is one ``error:`` line on stderr.
+limit exceeded (also a closed stdout, or a failed write other than a closed
+pipe).  A usage or resource error is one ``error:`` line on stderr.
 """
 
 import argparse
 import csv
+import errno
 import functools
 import itertools
 import json
@@ -18,7 +19,7 @@ import os
 import sys
 from contextlib import contextmanager, nullcontext
 
-from . import bulk, checks, density, engines
+from . import checks, density, engines
 from .classify import classify_div5, classify_mod3, classify_mod8
 
 EXIT_OK = 0
@@ -101,8 +102,14 @@ def _unlimited_int_digits():
 
 
 def _open_out(path):
-    """``--out`` opened for writing, or stdout; an unopenable path is a usage error."""
+    """``--out`` opened for writing, or stdout.
+
+    An unopenable path is a usage error; a closed stdout (``>&-``, where
+    ``sys.stdout`` is None) is a failed write, exit 3, before any work runs.
+    """
     if not path:
+        if sys.stdout is None:
+            raise engines.ResourceLimitError(f"cannot write output: {os.strerror(errno.EBADF)}")
         return nullcontext(sys.stdout)
     try:
         return open(path, "w", encoding="utf-8", newline="")
@@ -229,8 +236,6 @@ def _cmd_density(args):
         raise _UsageError("-N/--horizon is required unless --closed")
     if args.horizon < 1:
         raise _UsageError("-N/--horizon must be at least 1")
-    if args.horizon > bulk.MAX_INDEX:
-        raise _UsageError(f"-N/--horizon must be at most {bulk.MAX_INDEX}")
 
     def run(emit) -> int:
         report = density.empirical_density(args.selector, args.horizon)

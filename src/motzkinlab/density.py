@@ -5,18 +5,20 @@ other so they can cross-check:
 
 * closed-form limit densities as exact rationals (:func:`closed_density`,
   :func:`density_table`),
-* exact member counts below a finite horizon (:func:`count_set_exact`,
-  :func:`count_t01_upto`), with a proved error bound against the limit
-  (:func:`count_error_bound`),
-* empirical counts obtained by streaming every index through the digit
-  kernels (:func:`empirical_density`), plus the one route that really
-  computes Motzkin residues (:func:`empirical_residue_distribution`).
+* exact member counts below a finite horizon in O(log N) digit or
+  exponent-layer steps (:func:`count_set_exact`, :func:`count_t01_upto`),
+  with a proved error bound against the limit (:func:`count_error_bound`);
+  :func:`empirical_density` reports them for every class,
+* counts obtained by streaming every index through the digit kernels
+  (:func:`count_class_in_range`), the O(N) cross-check on the exact
+  counters, plus the one route that really computes Motzkin residues
+  (:func:`empirical_residue_distribution`).
 
 Each class label has one entry in an ordered registry that holds its
-limit, its per-chunk kernel count and its error bound; the registry labels
-are the only selectors.  Classes that are disjoint unions of
-:class:`SetSpec` families derive the limit, the bound and the count by
-summing over their specs.
+limit, its per-chunk kernel count, its error bound and its exact counter;
+the registry labels are the only selectors.  Classes that are disjoint
+unions of :class:`SetSpec` families derive all four by summing over their
+specs.
 """
 
 from collections.abc import Callable
@@ -155,24 +157,29 @@ class _ClassEntry(NamedTuple):
 
     ``count`` counts the members in one int64 chunk of indices through the
     :mod:`motzkinlab.bulk` kernels, looked up on ``bulk`` at call time;
-    ``bound(n_max)`` caps |members in [0, n_max] - n_max * limit|.
+    ``bound(n_max)`` caps |members in [0, n_max] - n_max * limit|;
+    ``exact(n_max)`` is the number of members in [0, n_max], in O(log n_max)
+    steps and for any n_max >= -1.  ``count`` shares no code with ``exact``,
+    so the sweep checks it.
     """
 
     limit: Fraction
     count: "Callable[[np.ndarray], int]"
     bound: "Callable[[int], Fraction]"
+    exact: "Callable[[int], int]"
 
 
 def _spec_union(specs) -> _ClassEntry:
     """Entry for a disjoint union of SetSpec families: limits, bounds and counts add.
 
-    A chunk's count sums one ``bulk.in_set_mask`` per spec; with several
+    A chunk's count sums the spec masks of ``bulk.in_set_masks``; with several
     specs, a member of two masks raises AssertionError, which survives ``-O``.
+    The exact count sums :func:`count_set_exact` over the specs.
     """
     specs = tuple(specs)
 
     def count(arr):
-        masks = [bulk.in_set_mask(arr, spec) for spec in specs]
+        masks = bulk.in_set_masks(arr, specs)
         total = int(sum(map(np.count_nonzero, masks)))
         if len(masks) > 1 and total != np.count_nonzero(np.logical_or.reduce(masks)):
             raise AssertionError("overlapping families in a spec union")
@@ -182,6 +189,7 @@ def _spec_union(specs) -> _ClassEntry:
         limit=sum(map(set_density, specs), Fraction(0)),
         count=count,
         bound=lambda n_max: sum(count_error_bound(n_max, spec) for spec in specs),
+        exact=lambda n_max: sum(count_set_exact(n_max, spec) for spec in specs),
     )
 
 
@@ -190,12 +198,33 @@ def _coded(kernel: str, code) -> "Callable[[np.ndarray], int]":
     return lambda arr: int(np.count_nonzero(getattr(bulk, kernel)(arr) == code))
 
 
+def _even_popcounts_below(k: int) -> int:
+    """How many i in [0, k) have an even number of one bits.
+
+    Each pair 2m, 2m + 1 holds one of each parity; an odd k leaves k - 1 over.
+    """
+    return k // 2 + (k % 2 == 1 and (k - 1).bit_count() % 2 == 0)
+
+
+def _mod3_counts(n_max: int) -> "tuple[int, int, int]":
+    """How many n in [0, n_max] have M(n) = 0, 1 and 2 mod 3.
+
+    M(3k) = 1 and M(3k + 1) = 1 mod 3 where k, respectively k + 1, is a
+    zero-one number, M(3k + 2) = 2 where k + 1 is, and M(n) = 0 otherwise.
+    Floor division keeps every term right down to n_max = -1.
+    """
+    one = count_t01_upto(n_max // 3) + count_t01_upto((n_max - 1) // 3 + 1) - 1
+    two = count_t01_upto((n_max - 2) // 3 + 1) - 1
+    return n_max + 1 - one - two, one, two
+
+
 def _build_registry() -> "dict[str, _ClassEntry]":
     """Every class label, in table order, with its entry.
 
-    Limits, bounds and counts of spec unions are derived from their specs;
-    the mod8=2 and mod8=6 halves, mod 3 and zero-one entries state theirs.
-    The test suite checks every limit against hand-computed rationals.
+    Limits, bounds, counts and exact counters of spec unions are derived
+    from their specs; the mod8=2 and mod8=6 halves, mod 3 and zero-one
+    entries state theirs.  The test suite checks every limit against
+    hand-computed rationals and every exact counter against the sweep.
     """
     mod8 = MOD8_CLASS_SPECS
     registry = {"even": _spec_union(mod8.values())}
@@ -213,22 +242,43 @@ def _build_registry() -> "dict[str, _ClassEntry]":
                      for spec in two_six_specs)
         return two_or_six.bound(n_max) / 2 + Fraction(layers, 2)
 
+    # n = (4i + eps) * 4**e - delta gives 2 or 6 by the parity of the one
+    # bits of 4i + eps - 1: those of i for eps = 1, one more for eps = 3.
+    # Every member is at least 4*eps - delta >= 2, so no layer reaches
+    # below zero.
+    def half_exact(code):
+        def exact(n_max):
+            total = 0
+            for spec in two_six_specs:
+                bound = n_max - spec.shift
+                power = spec.base ** (spec.exp_step * spec.min_j + spec.exp_offset)
+                while power <= bound:
+                    k = (bound // power - spec.residue) // spec.base + 1
+                    evens = _even_popcounts_below(k)
+                    total += evens if (spec.residue == 1) == (code == 2) else k - evens
+                    power *= spec.base ** spec.exp_step
+            return total
+        return exact
+
     for code in (2, 6):
         registry[f"mod8={code}"] = _ClassEntry(
-            two_or_six.limit / 2, _coded("mod8_kind_codes", code), half_bound)
+            two_or_six.limit / 2, _coded("mod8_kind_codes", code), half_bound, half_exact(code))
     registry["mod4=2"] = two_or_six
     # M(n) mod 3 is nonzero only where n // 3 or n // 3 + 1 is a zero-one
     # number: at most two zero-one counts per nonzero residue, and for
     # residue 0 both of those plus one.
     registry["mod3=0"] = _ClassEntry(
-        Fraction(1), _coded("mod3_values", 0), lambda n_max: 3 * _t01_ceiling(n_max))
+        Fraction(1), _coded("mod3_values", 0), lambda n_max: 3 * _t01_ceiling(n_max),
+        lambda n_max: _mod3_counts(n_max)[0])
     for value in (1, 2):
         registry[f"mod3={value}"] = _ClassEntry(
-            Fraction(0), _coded("mod3_values", value), lambda n_max: 2 * _t01_ceiling(n_max))
+            Fraction(0), _coded("mod3_values", value), lambda n_max: 2 * _t01_ceiling(n_max),
+            lambda n_max, value=value: _mod3_counts(n_max)[value])
     registry["div5"] = _spec_union(DIV5_FORM_SPECS)
     for form, spec in enumerate(DIV5_FORM_SPECS, start=1):
         registry[f"div5_form{form}"] = _spec_union([spec])
-    registry["t01"] = _ClassEntry(Fraction(0), _coded("t01_mask", True), _t01_ceiling)
+    registry["t01"] = _ClassEntry(
+        Fraction(0), _coded("t01_mask", True), _t01_ceiling, count_t01_upto)
     return registry
 
 
@@ -255,7 +305,11 @@ def density_limit(selector) -> Fraction:
 
 
 def count_class_in_range(selector, lo: int, hi: int) -> int:
-    """Class members with lo <= n < hi, streamed through the digit kernels."""
+    """Class members with lo <= n < hi, streamed through the digit kernels.
+
+    O(hi - lo) and capped at ``bulk.MAX_INDEX``: the independent cross-check
+    on the exact counters that :func:`empirical_density` reports.
+    """
     if not 0 <= lo <= hi:
         raise ValueError(f"need 0 <= lo <= hi, got [{lo}, {hi})")
     if hi > bulk.MAX_INDEX:
@@ -296,8 +350,9 @@ class DensityReport:
 def empirical_density(selector, horizon: int) -> DensityReport:
     """Count class members among n < horizon and report against the limit.
 
-    Every index streams through the digit kernels; no Motzkin number is
-    computed, so horizons far beyond the engine ceilings are fine.
+    The count comes from the class's exact counter in O(log horizon) steps;
+    no Motzkin number is computed and no index is swept, so any horizon is
+    fine.  :func:`count_class_in_range` gives the same integer the slow way.
     """
     if horizon < 1:
         raise ValueError(f"horizon must be at least 1, got {horizon}")
@@ -306,7 +361,7 @@ def empirical_density(selector, horizon: int) -> DensityReport:
         label=selector,
         limit_value=entry.limit,
         horizon=horizon,
-        observed_count=count_class_in_range(selector, 0, horizon),
+        observed_count=entry.exact(horizon - 1),
         error_bound=float(Fraction(entry.bound(horizon - 1), horizon)),
     )
 

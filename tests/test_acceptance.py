@@ -131,6 +131,8 @@ def test_criterion_5_finite_horizon_convergence():
     with criterion(5, "digit-kernel densities at N = 10**7 within 1e-4 of the limits"):
         for selector in selectors:
             report = empirical_density(selector, 10**7)
+            # The report counts exactly; the digit kernels must see the same.
+            assert count_class_in_range(selector, 0, 10**7) == report.observed_count, selector
             assert report.abs_discrepancy <= 1e-4, (
                 f"{selector}: |{report.observed_ratio} - {report.limit_value}| "
                 f"= {report.abs_discrepancy}"

@@ -42,7 +42,7 @@ def assert_kernels_match_scalars(indices) -> None:
     values3 = bulk.mod3_values(arr)
     t01 = bulk.t01_mask(arr)
     specs = list(MOD8_CLASS_SPECS.values()) + list(DIV5_FORM_SPECS)
-    masks = [bulk.in_set_mask(arr, spec) for spec in specs]
+    masks = bulk.in_set_masks(arr, specs)  # specs sharing (base, shift) share one factoring
     for offset, n in enumerate(indices):
         assert codes[offset] == KIND_TO_CODE[classify_mod8(n).kind]
         assert values3[offset] == classify_mod3(n)

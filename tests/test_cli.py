@@ -3,11 +3,12 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
-from motzkinlab import bulk, checks, density, engines
+from motzkinlab import checks, density, engines
 from motzkinlab.cli import main
 from motzkinlab.engines import CEILING_ENV_VAR, iter_motzkin_exact, motzkin_mod_stream
 
@@ -353,14 +354,22 @@ class TestDensity:
         assert code == 2
         assert out == ""
         assert err == "error: -N/--horizon must be at least 1\n"
-        code, out, err = run(capsys, "density", "even", "-N", str(10**19))
-        assert code == 2
-        assert out == ""
-        assert err == f"error: -N/--horizon must be at most {bulk.MAX_INDEX}\n"
         for removed in (["--parts", "2"], ["--empirical"], ["--both"]):
             code, _, err = run(capsys, "density", "even", "-N", "10", *removed)
             assert code == 2
             assert "unrecognized arguments" in err
+
+    @pytest.mark.parametrize("label", density.SELECTORS)
+    def test_horizon_past_the_sweep_cap(self, capsys, label):
+        horizon = 10**30
+        start = time.perf_counter()
+        code, out, err = run(capsys, "density", label, "-N", str(horizon))
+        assert time.perf_counter() - start < 5
+        assert (code, err) == (0, "")
+        header, rows = csv_rows(out)
+        row = dict(zip(header, rows[0]))
+        assert int(row["N"]) == horizon
+        assert int(row["count"]) == density.empirical_density(label, horizon).observed_count
 
 
 class TestHarness:
@@ -422,6 +431,26 @@ class TestClosedPipe:
         _, err = proc.communicate(timeout=60)
         assert proc.returncode == 1
         assert err == b""
+
+
+@pytest.mark.skipif(os.name != "posix", reason="needs a POSIX shell")
+class TestClosedStdout:
+    """With stdout closed (``>&-``) a command fails before any work: exit 3."""
+
+    @pytest.mark.parametrize("argv", [["compute", "0..10"],
+                                      ["classify", "0..10", "--mod", "8"],
+                                      ["verify", "100", "--mod", "8"],
+                                      ["density", "even", "-N", "100"]],
+                             ids=["compute", "classify", "verify", "density"])
+    def test_closed_stdout(self, argv):
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+        result = subprocess.run(["sh", "-c", 'exec "$0" -m motzkinlab.cli "$@" >&-',
+                                 sys.executable, *argv],
+                                env=env, stderr=subprocess.PIPE, timeout=60)
+        assert result.returncode == 3
+        lines = result.stderr.decode().splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: cannot write output: ")
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")

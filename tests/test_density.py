@@ -297,6 +297,7 @@ class TestEmpiricalDensity:
         windows = [(2**62, 2**62 + 2**16), (MAX_INDEX - 3000, MAX_INDEX)]
         for label, specs in SPEC_UNIONS.items():
             report = empirical_density(label, 20_000)
+            assert count_class_in_range(label, 0, 20_000) == report.observed_count
             assert report.observed_count == sum(count_set_exact(19_999, s) for s in specs)
             assert report.limit_value == sum(set_density(s) for s in specs)
             assert report.label == label
@@ -332,6 +333,49 @@ class TestEmpiricalDensity:
             empirical_density("no-such-class", 10)
         with pytest.raises(ValueError):
             count_class_in_range("even", 5, 4)
+
+
+# Horizons where the exact counters meet the digit-kernel sweep, in
+# increasing order; the scalar classifiers join them up to SCALAR_HORIZON,
+# past which they would take minutes.
+EXACT_HORIZONS = (1, 2, 3, 4, 5, 7, 8, 100, 12345, 3**9, 10**5, 10**6)
+SCALAR_HORIZON = 3**9
+EXACT_WINDOWS = ((2**61, 2**61 + 3000), (2**62, 2**62 + 3000), (MAX_INDEX - 3000, MAX_INDEX))
+
+
+class TestExactCounts:
+    """empirical_density counts exactly; the sweep and the scalar classifiers check it."""
+
+    @pytest.mark.parametrize("label", ALL_LABELS)
+    def test_from_zero(self, label):
+        scalar, scanned = 0, 0
+        for horizon in EXACT_HORIZONS:
+            exact = empirical_density(label, horizon).observed_count
+            assert exact == count_class_in_range(label, 0, horizon), horizon
+            if horizon <= SCALAR_HORIZON:
+                scalar += scalar_class_count(label, scanned, horizon)
+                scanned = horizon
+                assert exact == scalar, horizon
+
+    @pytest.mark.parametrize("label", ALL_LABELS)
+    def test_windows(self, label):
+        for lo, hi in EXACT_WINDOWS:
+            exact = (empirical_density(label, hi).observed_count
+                     - empirical_density(label, lo).observed_count)
+            assert exact == count_class_in_range(label, lo, hi), lo
+            assert exact == scalar_class_count(label, lo, hi), lo
+
+    def test_past_the_sweep(self):
+        # No sweep reaches 10**30: check how the classes partition, and the bounds.
+        horizon = 10**30
+        counts = {label: empirical_density(label, horizon).observed_count for label in ALL_LABELS}
+        assert counts["mod8=2"] + counts["mod8=6"] == counts["mod4=2"]
+        assert counts["mod8=4"] + counts["mod4=2"] == counts["even"]
+        assert sum(counts[f"eps{e}_delta{d}"] for e in (1, 3) for d in (1, 2)) == counts["even"]
+        assert sum(counts[f"div5_form{form}"] for form in range(1, 5)) == counts["div5"]
+        for label in ALL_LABELS:
+            report = empirical_density(label, horizon)
+            assert report.abs_discrepancy <= report.error_bound, label
 
 
 # Exact bounds.  The tests above only check that bounds hold, so an
