@@ -3,7 +3,7 @@
 
 The sequence M(0), M(1), ... = 1, 1, 2, 4, 9, 21, 51, 127, ... can be built
 from the defining binomial-Catalan sum, from a three-term recurrence over
-exact integers, modulo m from a division-free convolution, or modulo a
+exact integers, modulo m from a division-free Newton iteration, or modulo a
 prime power (and products of them) from a digit automaton that reads the
 base-p digits of n.  Agreement between unrelated methods is the whole
 point: a bug in one engine cannot hide in the others.
@@ -26,7 +26,7 @@ print("  ", motzkin_exact_stream(15))
 print("\nM(100) has", len(str(motzkin_exact(100))), "digits:")
 print("  ", motzkin_exact(100))
 
-print("\nResidues mod 8 via the convolution engine (note: never 0):")
+print("\nResidues mod 8 via the modular stream (note: never 0):")
 stream = motzkin_mod_stream(8, 40)
 print("  ", list(stream.values))
 
@@ -36,7 +36,7 @@ print("  ", list(motzkin_mod_stream(5, 40).values))
 print("\nM(10^30) mod 8 from the digit automaton, far past any stream:")
 print("  ", motzkin_mod_at(10**30, 8))
 
-print("\nCross-validating the convolution and the automaton against the exact recurrence:")
+print("\nCross-validating the modular stream and the automaton against the exact recurrence:")
 for modulus in (2, 3, 4, 5, 8):
     report = cross_validate_engines(modulus, 3000)
     status = "consistent" if report.consistent else f"MISMATCH at {report.first_mismatch}"

@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Residue histograms from actually computed Motzkin numbers.
 
-The digit classifiers predict where the mass sits; here the convolution
-engine computes real residues so the histograms can talk back.  Two things
+The digit classifiers predict where the mass sits; here the modular stream
+computes real residues so the histograms can talk back.  Two things
 stand out: residue 0 mod 8 never occurs at all, and the four nonzero
 residues mod 5 each hover near 22.5% while residue 0 sits at 10%.
 """

@@ -371,10 +371,8 @@ def empirical_residue_distribution(modulus: int,
     """(residue, count, ratio) for M(n) mod modulus over n < horizon.
 
     Unlike the digit-kernel paths this really computes Motzkin residues, via
-    the convolution engine, so the engine ceiling applies.
+    the modular stream, so the engine ceiling applies.
     """
     stream = motzkin_mod_stream(modulus, horizon)
-    counts = [0] * modulus
-    for value in stream.values:
-        counts[value] += 1
+    counts = np.bincount(stream.values, minlength=modulus).tolist()
     return [(residue, count, count / horizon) for residue, count in enumerate(counts)]

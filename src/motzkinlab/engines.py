@@ -16,11 +16,18 @@ others:
     :class:`ExactDivisionError`.
 
 ``motzkin_mod_stream``
-    The division-free convolution
-    ``M(n + 1) = M(n) + sum_{k < n} M(k) M(n - 1 - k)``
-    with all arithmetic reduced modulo ``m``.  Because it never divides, it
-    is valid for every modulus, including those where ``n + 2`` has no
-    inverse.  One numpy path, on exact float64 limb products, serves them all.
+    Newton iteration on F(M) = x**2 M**2 + (x - 1) M + 1 = 0 over
+    (Z/m)[[x]], the generating-function form of the division-free
+    convolution ``M(n + 1) = M(n) + sum_{k < n} M(k) M(n - 1 - k)``.
+    F'(M) has constant term -1, a unit for every modulus, so the iteration
+    never divides and serves every modulus, including those where ``n + 2``
+    has no inverse.  Products are float64 FFTs on b-bit limbs; b is the
+    largest width with limbs * N * 4**b * delta <= 1/8, where delta (about
+    13 log2(N) * 2**-53) is Percival's bound on the relative FFT error, so
+    every product output is an exact integer below 2**53 with a rounding
+    error under 1/8.  A guard raises :class:`FFTRoundingError` for any output
+    1/4 or more from an integer.  Cost: O(N log N * limbs**2) for a stream of
+    length N.
 
 A fourth route, the prime-power digit automaton in
 :mod:`motzkinlab.automaton`, reads M(n) mod m off the base-p digits of n; it
@@ -32,10 +39,12 @@ residue source of :func:`motzkinlab.checks.verify_classifiers`.
 where the modulus is within its cap, against the exact recurrence reduced
 modulo ``m`` and reports the first disagreement, if any.
 
-Quadratic-cost requests (single large indices, stream lengths) are capped by
-a ceiling: the environment variable ``MOTZKINLAB_CEILING``, else 10**5.
+Single large indices and stream lengths are capped by a ceiling, which bounds
+the quadratic cost of the exact engines: the environment variable
+``MOTZKINLAB_CEILING``, else 10**5.
 """
 
+import math
 import os
 from dataclasses import dataclass
 from typing import Iterator
@@ -54,6 +63,10 @@ class ResourceLimitError(Exception):
 
 class ExactDivisionError(ArithmeticError):
     """The exact recurrence produced a nonzero remainder (an engine bug)."""
+
+
+class FFTRoundingError(ArithmeticError):
+    """A float FFT product output lay 1/4 or more from an integer (an engine bug)."""
 
 
 def resolve_ceiling() -> int:
@@ -153,7 +166,7 @@ class ResidueStream:
     def __post_init__(self) -> None:
         if self.modulus < 2:
             raise ValueError(f"modulus must be at least 2, got {self.modulus}")
-        if any(not 0 <= v < self.modulus for v in self.values):
+        if self.values and not 0 <= min(self.values) <= max(self.values) < self.modulus:
             raise ValueError("residues must lie in [0, modulus)")
 
     @property
@@ -168,63 +181,203 @@ class ResidueStream:
 
 
 def motzkin_mod_stream(modulus: int, count: int) -> ResidueStream:
-    """Residues of M(0..count-1) modulo ``modulus`` by the convolution recurrence.
+    """Residues of M(0..count-1) modulo ``modulus`` by Newton iteration.
 
-    O(count) memory and O(count**2) exact float64 limb multiply-adds, for
-    small and arbitrarily large moduli alike.
+    Solves F(M) = x**2 M**2 + (x - 1) M + 1 = 0 over (Z/m)[[x]], doubling the
+    number of known terms at each step.  F'(M) has constant term -1, a unit
+    for every modulus, so nothing is ever divided.  Products are float FFTs
+    on limbs narrow enough that every product coefficient is exact (see
+    :func:`_limb_bits`), so the cost is O(count log count * limbs**2) for
+    small and arbitrarily large moduli alike.  A product output 1/4 or more
+    from an integer raises :class:`FFTRoundingError`, and no residues are
+    returned.
     """
     if modulus < 2:
         raise ValueError(f"modulus must be at least 2, got {modulus}")
     if count < 1:
         raise ValueError(f"stream length must be at least 1, got {count}")
     ensure_within_ceiling(count, "stream length")
-    return ResidueStream(modulus=modulus, values=tuple(_convolution(modulus, count)))
+    return ResidueStream(modulus=modulus, values=tuple(_newton_stream(modulus, count)))
 
 
-# OpenBLAS hands dot products over more than 10**4 terms to worker threads,
-# which stall when other processes keep the cores busy (two concurrent streams
-# of length 3*10**4 ran over 20x slower on two cores), so no BLAS call is longer.
-_BLOCK = 8192
+def _newton_stream(modulus: int, count: int) -> "list[int]":
+    # Brent and Kung's coupled iteration, carrying H = -1/F'(M) =
+    # 1/(1 - x - 2 x**2 M) so that no correction needs a negation.  With M
+    # known mod x**known and H mod x**half (half >= known / 2), first refine
+    # H += H (1 - (1 - x - 2 x**2 M) H) to precision known, then step
+    # M += H F(M) to precision target <= 2 * known.  Both corrections start
+    # where the old value stops being exact, so only those terms are formed.
+    ring = _LimbRing(modulus, count)
+    targets = [count]
+    while targets[-1] > 2:
+        targets.append((targets[-1] + 1) // 2)
+    known = targets.pop()
+    # Modulo x**2, M = 1 + x and H = 1/(1 - x) = 1 + x.
+    series = ring.split([1, 1][:known])
+    inverse = series.copy()
+    for target in reversed(targets):
+        half = inverse.shape[1]
+        if half < known:
+            # (1 - x - 2 x**2 M) H = 1 - x**half * residual, H having no terms
+            # at or past x**half.
+            cross = ring.product(series[:, : known - 2], inverse, half - 2, known - 2)
+            cross *= 2
+            cross[: ring.limbs, 0] += inverse[:, -1]
+            residual = ring.reduce(cross)
+            update = ring.product(inverse[:, : known - half], residual, 0, known - half)
+            inverse = np.concatenate([inverse, ring.reduce(update)], axis=1)
+        # F(M) = x**known * defect: the x**2 M**2 and x M terms past x**known.
+        square = ring.product(series, series, known - 2, target - 2)
+        square[: ring.limbs, 0] += series[:, -1]
+        defect = ring.reduce(square)
+        step = ring.product(inverse[:, : target - known], defect, 0, target - known)
+        series = np.concatenate([series, ring.reduce(step)], axis=1)
+        known = target
+    return ring.to_ints(series)
 
 
-def _convolution(modulus: int, count: int) -> "list[int]":
-    # Residues are stored as base-2**bits limbs in float64, bits being the
-    # widest limb with count * 4**bits <= 2**53.  Each product entry sums
-    # fewer than count limb products below 4**bits, so every partial sum is an
-    # integer below 2**53, exact in float64 in any order, with or without FMA.
-    # Step n needs sum_k M(k) M(n - 2 - k), symmetric in k: it takes the pairs
-    # with k < half twice (the extra shift bit), plus M(half)**2 if n is even.
-    bits = (((1 << 53) // count).bit_length() - 1) // 2
-    limbs = -(-(modulus - 1).bit_length() // bits)
-    mask = (1 << bits) - 1
-    shifts = [bits * (p + q) + 1 for p in range(limbs) for q in range(limbs)]
-    forward = np.zeros((limbs, count))   # forward[:, k]: the limbs of M(k)
-    backward = np.zeros((count, limbs))  # backward[count - 1 - k]: the same
-    forward[0, 0] = backward[-1, 0] = 1
-    values = [1]
-    for n in range(1, count):
-        half = (n - 1) // 2
-        head, tail = forward[:, :half], backward[count - n + 1 : count - n + 1 + half]
-        products = head[:, :_BLOCK] @ tail[:_BLOCK]
-        for k in range(_BLOCK, half, _BLOCK):
-            products += head[:, k : k + _BLOCK] @ tail[k : k + _BLOCK]
-        middle = values[half] ** 2 if n % 2 == 0 else 0
-        pairs = sum(int(c) << s for c, s in zip(products.ravel().tolist(), shifts))
-        value = (values[-1] + pairs + middle) % modulus
-        values.append(value)
-        digits = [(value >> bits * p) & mask for p in range(limbs)]
-        forward[:, n] = digits
-        backward[count - 1 - n] = digits
-    return values
+def _limb_bits(modulus: int, count: int) -> "tuple[int, int]":
+    """(bits, limbs): the widest limb, at most 20 bits, whose products are exact.
+
+    A product row sums at most ``limbs`` cyclic convolutions of two limb rows,
+    each of length at most ``count`` with entries below 2**bits, so every
+    exact output is below limbs * count * 4**bits.  Percival (Math. Comp.
+    2003, Thm. 5.1) bounds the error of a float FFT product of length 2**n by
+    ||a|| ||b|| delta_n, delta_n = (1 + e)**(6n) (1 + e sqrt 5)**(3n + 1) - 1,
+    where e = 2**-53 bounds both the rounding and the error of the roots of
+    unity; here ||a|| ||b|| <= count * 4**bits for each limb pair.  The bits
+    are the most for which limbs * count * 4**bits * delta_n <= 1/8: half the
+    distance at which the rounding guard raises, and far inside the 2**53 of
+    float64 integers.  The 20-bit cap keeps the reduction's int64 sums and its
+    float quotient estimate exact.
+    """
+    n = (2 * count).bit_length()  # no transform is longer than 2**n
+    e = 2.0 ** -53
+    delta = math.expm1(6 * n * math.log1p(e) + (3 * n + 1) * math.log1p(e * math.sqrt(5)))
+    width = (modulus - 1).bit_length()
+    for bits in range(20, 0, -1):
+        limbs = -(-width // bits)
+        if limbs * count * 4**bits * delta <= 1 / 8:
+            return bits, limbs
+    raise ResourceLimitError(f"no limb width keeps FFT products of length {count} exact")
+
+
+class _LimbRing:
+    """Arithmetic modulo m on power series held as rows of limbs.
+
+    A series of n coefficients, each in [0, m), is an (limbs, n) int64 array
+    whose row j holds bits [bits*j, bits*(j + 1)) of every coefficient.
+    Products come back unreduced, as 2*limbs - 1 rows of exact sums, and
+    :meth:`reduce` brings such rows back to residues.
+    """
+
+    def __init__(self, modulus: int, count: int) -> None:
+        self.bits, self.limbs = _limb_bits(modulus, count)
+        self.mask = (1 << self.bits) - 1
+        # Rows of an unreduced value: product outputs are below 2**50 (the limb
+        # bound keeps them under 2**53 / 8) and at most doubled before reduce,
+        # so every value handed to reduce is below 2**(bits*(2*limbs - 2) + 52).
+        self.rows = 2 * self.limbs - 1 + -(-52 // self.bits)
+        self.powers = self.split(
+            [pow(2, self.bits * t, modulus) for t in range(self.limbs, self.rows)])
+        self.modulus_rows = self.split([modulus], self.limbs + 1)
+        # The quotient estimate reads the rows from `base` up against the
+        # modulus's top 61 or more bits.
+        self.base = max(0, (modulus.bit_length() - 61) // self.bits)
+        self.scale = float(modulus >> (self.bits * self.base))
+
+    def split(self, values: "list[int]", rows: "int | None" = None) -> np.ndarray:
+        """Non-negative ints as limb rows (``limbs`` of them by default)."""
+        return np.array([[(v >> (self.bits * j)) & self.mask for v in values]
+                         for j in range(rows or self.limbs)], dtype=np.int64)
+
+    def to_ints(self, series: np.ndarray) -> "list[int]":
+        """The coefficients of ``series`` as Python ints."""
+        # Limbs join in int64 up to 62 bits at a time, those words in Python ints.
+        per_word = 62 // self.bits
+        words = []
+        for start in range(0, self.limbs, per_word):
+            word = np.zeros(series.shape[1], dtype=np.int64)
+            for row in series[start : start + per_word][::-1]:
+                word = (word << self.bits) | row
+            words.append(word.tolist())
+        values = words.pop()
+        for word in reversed(words):
+            values = [(v << (self.bits * per_word)) | w for v, w in zip(values, word)]
+        return values
+
+    def product(self, a: np.ndarray, b: np.ndarray, lo: int, hi: int) -> np.ndarray:
+        """Terms [lo, hi) of a*b as rows s = p + q of exact sums of a_p * b_q.
+
+        The cyclic convolution is just long enough that no wrapped-around
+        term lands in [lo, hi).  Every output is checked, so a broken
+        exactness bound raises instead of rounding to a wrong integer.
+        """
+        la, lb = a.shape[1], b.shape[1]
+        size = 1 << (max(hi, la, lb, la + lb - 1 - lo) - 1).bit_length()
+        fa = np.fft.rfft(a, size)
+        fb = fa if b is a else np.fft.rfft(b, size)
+        spectrum = np.zeros((2 * self.limbs - 1, size // 2 + 1), dtype=np.complex128)
+        for p in range(self.limbs):
+            for q in range(self.limbs):
+                spectrum[p + q] += fa[p] * fb[q]
+        out = np.fft.irfft(spectrum, size)
+        exact = np.rint(out)
+        worst = float(np.abs(out - exact).max())
+        if not worst < 0.25:
+            raise FFTRoundingError(
+                f"an FFT product output lay {worst:.3g} from an integer "
+                f"({self.bits}-bit limbs, length {size})"
+            )
+        return exact[:, lo:hi].astype(np.int64)
+
+    def _carry(self, value: np.ndarray) -> np.ndarray:
+        # In place: every row but the top into [0, 2**bits), same total.
+        for t in range(len(value) - 1):
+            value[t + 1] += value[t] >> self.bits
+            value[t] &= self.mask
+        return value
+
+    def reduce(self, raw: np.ndarray) -> np.ndarray:
+        """Residues of sum_s raw[s] * 2**(bits*s), for non-negative raw rows."""
+        limbs = self.limbs
+        value = np.zeros((self.rows, raw.shape[1]), dtype=np.int64)
+        value[: len(raw)] = raw
+        self._carry(value)
+        # Fold each row t >= limbs onto the low rows as 2**(bits*t) mod m.  The
+        # value drops below 2**(bits*limbs) + rows * 2**bits * m: it fits in
+        # limbs + 2 rows, and value / m is below (rows + 1) * 2**bits.
+        low = value[:limbs] + self.powers @ value[limbs:]
+        value = np.concatenate([low, np.zeros((2, raw.shape[1]), dtype=np.int64)])
+        self._carry(value)
+        # The float quotient is within 1/4 of the true one, so `quotient` is
+        # the floor of value / m or one less, and value - quotient*m is in [0, 2m).
+        estimate = value[-1].astype(np.float64)
+        for t in range(len(value) - 2, self.base - 1, -1):
+            estimate = estimate * float(1 << self.bits) + value[t]
+        quotient = np.floor(estimate / self.scale - 0.5).astype(np.int64)
+        value[: limbs + 1] -= self.modulus_rows * quotient
+        self._carry(value)
+        less = value.copy()
+        less[: limbs + 1] -= self.modulus_rows
+        self._carry(less)
+        return np.where(less[-1] >= 0, less[:limbs], value[:limbs])
+
+
+# Disagreements a CrossValidationReport keeps, in index order.
+KEPT_MISMATCHES = 5
 
 
 @dataclass(frozen=True)
 class CrossValidationReport:
-    """Outcome of comparing the modular engine with the exact one."""
+    """Outcome of comparing the modular engines with the exact one."""
 
     modulus: int
     checked: int
     first_mismatch: "int | None"
+    # The first KEPT_MISMATCHES disagreements as (n, expected, got): expected
+    # from the exact recurrence, got from the engine that disagrees.
+    first_mismatches: "tuple[tuple[int, int, int], ...]" = ()
 
     @property
     def consistent(self) -> bool:
@@ -232,24 +385,27 @@ class CrossValidationReport:
 
 
 def cross_validate_engines(modulus: int, count: int) -> CrossValidationReport:
-    """Compare the convolution stream, and the automaton where the modulus is
+    """Compare the modular stream, and the automaton where the modulus is
     within its cap, with the exact recurrence reduced mod m.
 
     Disagreements are reported, not raised: a mismatch means one of the
     engines is wrong, which is exactly what the report exists to surface.
     ``first_mismatch`` is the smallest index where any engine disagrees with
-    the recurrence.
+    the recurrence; ``first_mismatches`` keeps the first few disagreements,
+    one per engine and index, in index order.
     """
     streams = [motzkin_mod_stream(modulus, count).values]
     try:
         streams.append(motzkin_mod_array(modulus, count).tolist())
     except StateCapError:
         pass
-    gen = iter_motzkin_exact()
-    first = None
-    for n in range(count):
-        expected = next(gen) % modulus
-        if any(stream[n] != expected for stream in streams):
-            first = n
+    kept = []
+    for n, value in zip(range(count), iter_motzkin_exact()):
+        expected = value % modulus
+        kept += [(n, expected, stream[n]) for stream in streams if stream[n] != expected]
+        if len(kept) >= KEPT_MISMATCHES:
             break
-    return CrossValidationReport(modulus=modulus, checked=count, first_mismatch=first)
+    kept = tuple(kept[:KEPT_MISMATCHES])
+    return CrossValidationReport(modulus=modulus, checked=count,
+                                 first_mismatch=kept[0][0] if kept else None,
+                                 first_mismatches=kept)

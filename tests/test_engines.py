@@ -1,3 +1,9 @@
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,8 +27,20 @@ from conftest import motzkin_convolution_oracle, motzkin_defining_sum, motzkin_p
 
 FIRST_TEN = [1, 1, 2, 4, 9, 21, 51, 127, 323, 835]
 ORACLE_COUNT = 600
-# Widest limb whose dot products over ORACLE_COUNT terms stay below 2**53.
-ORACLE_LIMB_BITS = max(b for b in range(27) if ORACLE_COUNT * 4**b <= 2**53)
+
+
+def one_limb_bits(count: int) -> int:
+    """Widest one-limb width the stream's stated bound admits at this length.
+
+    count * 4**b * delta_n <= 1/8, delta_n being Percival's relative error
+    bound for FFT products of length 2**n, n = bit length of 2 * count.
+    """
+    n = (2 * count).bit_length()
+    delta = (6 * n + math.sqrt(5) * (3 * n + 1)) * 2.0**-53
+    return max(b for b in range(1, 21) if count * 4**b * delta <= 1 / 8)
+
+
+ORACLE_LIMB_BITS = one_limb_bits(ORACLE_COUNT)
 
 
 class TestMotzkinExact:
@@ -129,11 +147,37 @@ class TestModStream:
         assert list(stream.values) == motzkin_convolution_oracle(modulus, ORACLE_COUNT)
         assert all(type(v) is int for v in stream.values)
 
+    def test_limb_boundary_moduli(self):
+        # The oracle moduli straddle the one-limb boundary of the stated bound.
+        assert engines._limb_bits(1 << ORACLE_LIMB_BITS, ORACLE_COUNT) == (ORACLE_LIMB_BITS, 1)
+        assert engines._limb_bits((1 << ORACLE_LIMB_BITS) + 1, ORACLE_COUNT)[1] == 2
+
     def test_blocked_multi_limb_stream_matches_exact_reduced(self):
-        modulus, count = (1 << 40) + 7, 2 * engines._BLOCK + 10  # 3 limbs, 2 blocks
+        # Lengths 2**k - 1, 2**k and 2**k + 1 change the doubling chain and
+        # the transform lengths; the moduli take one limb, two limbs and, for
+        # 2**40 + 7, three or four.
         gen = iter_motzkin_exact()
-        expected = [next(gen) % modulus for _ in range(count)]
-        assert list(motzkin_mod_stream(modulus, count).values) == expected
+        exact = [next(gen) for _ in range(2**13 + 1)]
+        for count in (2**12 - 1, 2**12, 2**12 + 1, 2**13 - 1, 2**13, 2**13 + 1):
+            bits = one_limb_bits(count)
+            one, two = (1 << bits) - 1, (1 << bits) + 1
+            assert [engines._limb_bits(m, count)[1] for m in (one, two)] == [1, 2]
+            for modulus in (one, two, (1 << 40) + 7):
+                expected = [value % modulus for value in exact[:count]]
+                assert list(motzkin_mod_stream(modulus, count).values) == expected
+
+    @settings(deadline=None, max_examples=40)
+    @given(st.one_of(st.integers(min_value=2, max_value=2**70), st.just(2**200 + 1)),
+           st.integers(min_value=1, max_value=700))
+    def test_matches_convolution_oracle_random(self, modulus, count):
+        stream = motzkin_mod_stream(modulus, count)
+        assert list(stream.values) == motzkin_convolution_oracle(modulus, count)
+
+    @pytest.mark.parametrize("modulus", [8, 72])
+    def test_at_the_default_ceiling(self, modulus):
+        count = engines.DEFAULT_CEILING
+        assert list(motzkin_mod_stream(modulus, count).values) == \
+            motzkin_mod_array(modulus, count).tolist()
 
     def test_no_multiple_of_8_in_prefix(self):
         assert 0 not in motzkin_mod_stream(8, 2000).values
@@ -146,6 +190,49 @@ class TestModStream:
         monkeypatch.setenv(CEILING_ENV_VAR, "100")
         with pytest.raises(ResourceLimitError):
             motzkin_mod_stream(8, 101)
+
+
+class TestLimbReduction:
+    @pytest.mark.parametrize("modulus", [2, 8, 10**9 + 7, 2**61 - 1, 2**200 + 1],
+                             ids=["2", "8", "1e9+7", "2^61-1", "2^200+1"])
+    def test_reduce_at_quotient_boundaries(self, modulus):
+        # k*m - 1 sits just below a multiple of m, where a float quotient
+        # estimate rounds up; the reduction must still land in [0, m).
+        ring = engines._LimbRing(modulus, ORACLE_COUNT)
+        top = 1 << (ring.bits * (2 * ring.limbs - 1))
+        values = [v for k in range(1, 9) for v in (k * modulus - 1, k * modulus, k * modulus + 1)]
+        values += [top - 1, top // 3, 12345]
+        values = [v for v in values if 0 <= v < top]
+        raw = ring.split(values, 2 * ring.limbs - 1)
+        assert ring.to_ints(ring.reduce(raw)) == [v % modulus for v in values]
+
+
+class TestRoundingGuardUnderOptimize:
+    """The rounding guard must survive ``python -O``, which strips asserts."""
+
+    def test_perturbed_product_raises(self):
+        script = "\n".join([
+            "import numpy as np",
+            "from motzkinlab import engines",
+            "irfft = np.fft.irfft",
+            "def perturbed(*args, **kwargs):",
+            "    out = irfft(*args, **kwargs)",
+            "    out.flat[0] += 0.4",
+            "    return out",
+            "np.fft.irfft = perturbed",
+            "residues = None",
+            "try:",
+            "    residues = engines.motzkin_mod_stream(8, 100)",
+            "except engines.FFTRoundingError as exc:",
+            "    print(type(exc).__name__)",
+            "print(residues)",
+        ])
+        root = Path(__file__).resolve().parent.parent
+        env = {**os.environ, "PYTHONPATH": str(root / "src")}
+        result = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                                capture_output=True, text=True, timeout=60)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.split() == ["FFTRoundingError", "None"]
 
 
 class TestResidueStream:
@@ -181,6 +268,7 @@ class TestCrossValidation:
         report = engines.cross_validate_engines(1000, 20)
         assert not report.consistent
         assert report.first_mismatch == 7
+        assert report.first_mismatches == ((7, 128, 127),)  # M(7) = 127, one engine
 
         # The automaton is compared too, wherever the modulus is within its cap.
         def corrupted_automaton(modulus, count):
@@ -189,8 +277,23 @@ class TestCrossValidation:
             return residues
 
         monkeypatch.setattr(engines, "motzkin_mod_array", corrupted_automaton)
-        assert engines.cross_validate_engines(72, 20).first_mismatch == 4
+        report = engines.cross_validate_engines(72, 20)
+        assert report.first_mismatch == 4
+        # M(4) = 9 and M(7) = 127 = 55 mod 72: the automaton, then both engines.
+        assert report.first_mismatches == ((4, 9, 10), (7, 56, 55), (7, 56, 55))
         assert engines.cross_validate_engines(1000, 20).first_mismatch == 7  # over the cap
         monkeypatch.setattr(engines, "iter_motzkin_exact", iter_motzkin_exact)
-        assert engines.cross_validate_engines(8, 20).first_mismatch == 4
+        report = engines.cross_validate_engines(8, 20)
+        assert report.first_mismatch == 4
+        assert report.first_mismatches == ((4, 1, 2),)
         assert engines.cross_validate_engines(97, 20).consistent  # over the cap
+
+    def test_keeps_the_first_five(self, monkeypatch):
+        def corrupted():
+            for value in iter_motzkin_exact():
+                yield value + 1
+
+        monkeypatch.setattr(engines, "iter_motzkin_exact", corrupted)
+        report = engines.cross_validate_engines(97, 50)  # the stream alone
+        assert report.first_mismatch == 0
+        assert [n for n, _, _ in report.first_mismatches] == [0, 1, 2, 3, 4]
