@@ -5,8 +5,10 @@ runner, :func:`main` opens stdout or ``--out``, then the runner computes,
 writes its table and returns the exit code.  Exit codes: 0 success /
 verified, 1 verification found mismatches, 2 usage error (also an
 unopenable ``--out`` or a malformed ``MOTZKINLAB_CEILING``), 3 resource
-limit exceeded (also a closed stdout, or a failed write other than a closed
-pipe).  A usage or resource error is one ``error:`` line on stderr.
+limit exceeded (also a closed stdout, a failed write other than a closed
+pipe, or running out of memory), 4 internal error (any other exception: a
+bug, never a verdict on the classifiers).  A usage, resource or internal
+error is one ``error:`` line on stderr.
 """
 
 import argparse
@@ -26,6 +28,7 @@ EXIT_OK = 0
 EXIT_VERIFICATION_FAILED = 1
 EXIT_USAGE = 2
 EXIT_RESOURCE_LIMIT = 3
+EXIT_INTERNAL_ERROR = 4
 
 
 class _UsageError(Exception):
@@ -78,7 +81,9 @@ def _emit(handle, fmt: str, columns, rows) -> None:
     except OSError as exc:
         # Keep the flushes still to come quiet: the handle's close, the
         # interpreter's final one (Python's signal docs, "Note on SIGPIPE").
-        os.dup2(os.open(os.devnull, os.O_WRONLY), handle.fileno())
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, handle.fileno())
+        os.close(devnull)
         if not isinstance(exc, BrokenPipeError):
             raise engines.ResourceLimitError(f"cannot write output: {exc.strerror}") from None
 
@@ -325,6 +330,12 @@ def main(argv=None) -> int:
     except engines.ResourceLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE_LIMIT
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return EXIT_RESOURCE_LIMIT
+    except Exception as exc:
+        print(f"error: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL_ERROR
 
 
 if __name__ == "__main__":

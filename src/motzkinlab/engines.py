@@ -26,8 +26,13 @@ others:
     13 log2(N) * 2**-53) is Percival's bound on the relative FFT error, so
     every product output is an exact integer below 2**53 with a rounding
     error under 1/8.  A guard raises :class:`FFTRoundingError` for any output
-    1/4 or more from an integer.  Cost: O(N log N * limbs**2) for a stream of
-    length N.
+    1/4 or more from an integer.  Product rows are reduced mod m by Horner's
+    rule from the top row, ``value = ((value << bits) + row) % m``; each step
+    stays below m * 2**bits + 2**52, so it runs in int64 while that is below
+    2**63 (m below 2**43 to 2**50, by limb width) and in Python ints
+    otherwise, on the same code.  Cost: O(N log N * limbs**2) for a stream
+    of length N; the Python-int steps make those larger moduli roughly twice
+    as slow.
 
 A fourth route, the prime-power digit automaton in
 :mod:`motzkinlab.automaton`, reads M(n) mod m off the base-p digits of n; it
@@ -248,8 +253,9 @@ def _limb_bits(modulus: int, count: int) -> "tuple[int, int]":
     unity; here ||a|| ||b|| <= count * 4**bits for each limb pair.  The bits
     are the most for which limbs * count * 4**bits * delta_n <= 1/8: half the
     distance at which the rounding guard raises, and far inside the 2**53 of
-    float64 integers.  The 20-bit cap keeps the reduction's int64 sums and its
-    float quotient estimate exact.
+    float64 integers.  The 20-bit cap binds only on short streams, where it
+    keeps m * 2**bits small and so keeps more moduli on the reduction's int64
+    path.
     """
     n = (2 * count).bit_length()  # no transform is longer than 2**n
     e = 2.0 ** -53
@@ -272,39 +278,34 @@ class _LimbRing:
     """
 
     def __init__(self, modulus: int, count: int) -> None:
+        self.modulus = modulus
         self.bits, self.limbs = _limb_bits(modulus, count)
         self.mask = (1 << self.bits) - 1
-        # Rows of an unreduced value: product outputs are below 2**50 (the limb
-        # bound keeps them under 2**53 / 8) and at most doubled before reduce,
-        # so every value handed to reduce is below 2**(bits*(2*limbs - 2) + 52).
-        self.rows = 2 * self.limbs - 1 + -(-52 // self.bits)
-        self.powers = self.split(
-            [pow(2, self.bits * t, modulus) for t in range(self.limbs, self.rows)])
-        self.modulus_rows = self.split([modulus], self.limbs + 1)
-        # The quotient estimate reads the rows from `base` up against the
-        # modulus's top 61 or more bits.
-        self.base = max(0, (modulus.bit_length() - 61) // self.bits)
-        self.scale = float(modulus >> (self.bits * self.base))
+        # Rows handed to _evaluate are below 2**52: product outputs are below
+        # 2**50 (the limb bound keeps them under 2**53 / 8), at most doubled,
+        # plus at most one limb.  So every Horner step stays below
+        # m * 2**bits + 2**52, and int64 holds it when that is below 2**63.
+        self.dtype = np.int64 if (modulus << self.bits) + 2**52 < 2**63 else object
 
-    def split(self, values: "list[int]", rows: "int | None" = None) -> np.ndarray:
-        """Non-negative ints as limb rows (``limbs`` of them by default)."""
-        return np.array([[(v >> (self.bits * j)) & self.mask for v in values]
-                         for j in range(rows or self.limbs)], dtype=np.int64)
+    def split(self, values) -> np.ndarray:
+        """Residues (a sequence or an array of ``dtype``) as limb rows."""
+        shifts = self.bits * np.arange(self.limbs)[:, None]
+        return ((np.asarray(values, dtype=self.dtype) >> shifts) & self.mask).astype(np.int64)
+
+    def _evaluate(self, rows: np.ndarray) -> np.ndarray:
+        # sum_s rows[s] * 2**(bits*s) mod m by Horner's rule from the top row.
+        value = np.zeros(rows.shape[1], dtype=self.dtype)
+        for row in rows[::-1]:
+            value = ((value << self.bits) + row) % self.modulus
+        return value
+
+    def reduce(self, raw: np.ndarray) -> np.ndarray:
+        """Residues of sum_s raw[s] * 2**(bits*s), for rows in [0, 2**52)."""
+        return self.split(self._evaluate(raw))
 
     def to_ints(self, series: np.ndarray) -> "list[int]":
         """The coefficients of ``series`` as Python ints."""
-        # Limbs join in int64 up to 62 bits at a time, those words in Python ints.
-        per_word = 62 // self.bits
-        words = []
-        for start in range(0, self.limbs, per_word):
-            word = np.zeros(series.shape[1], dtype=np.int64)
-            for row in series[start : start + per_word][::-1]:
-                word = (word << self.bits) | row
-            words.append(word.tolist())
-        values = words.pop()
-        for word in reversed(words):
-            values = [(v << (self.bits * per_word)) | w for v, w in zip(values, word)]
-        return values
+        return self._evaluate(series).tolist()
 
     def product(self, a: np.ndarray, b: np.ndarray, lo: int, hi: int) -> np.ndarray:
         """Terms [lo, hi) of a*b as rows s = p + q of exact sums of a_p * b_q.
@@ -330,38 +331,6 @@ class _LimbRing:
                 f"({self.bits}-bit limbs, length {size})"
             )
         return exact[:, lo:hi].astype(np.int64)
-
-    def _carry(self, value: np.ndarray) -> np.ndarray:
-        # In place: every row but the top into [0, 2**bits), same total.
-        for t in range(len(value) - 1):
-            value[t + 1] += value[t] >> self.bits
-            value[t] &= self.mask
-        return value
-
-    def reduce(self, raw: np.ndarray) -> np.ndarray:
-        """Residues of sum_s raw[s] * 2**(bits*s), for non-negative raw rows."""
-        limbs = self.limbs
-        value = np.zeros((self.rows, raw.shape[1]), dtype=np.int64)
-        value[: len(raw)] = raw
-        self._carry(value)
-        # Fold each row t >= limbs onto the low rows as 2**(bits*t) mod m.  The
-        # value drops below 2**(bits*limbs) + rows * 2**bits * m: it fits in
-        # limbs + 2 rows, and value / m is below (rows + 1) * 2**bits.
-        low = value[:limbs] + self.powers @ value[limbs:]
-        value = np.concatenate([low, np.zeros((2, raw.shape[1]), dtype=np.int64)])
-        self._carry(value)
-        # The float quotient is within 1/4 of the true one, so `quotient` is
-        # the floor of value / m or one less, and value - quotient*m is in [0, 2m).
-        estimate = value[-1].astype(np.float64)
-        for t in range(len(value) - 2, self.base - 1, -1):
-            estimate = estimate * float(1 << self.bits) + value[t]
-        quotient = np.floor(estimate / self.scale - 0.5).astype(np.int64)
-        value[: limbs + 1] -= self.modulus_rows * quotient
-        self._carry(value)
-        less = value.copy()
-        less[: limbs + 1] -= self.modulus_rows
-        self._carry(less)
-        return np.where(less[-1] >= 0, less[:limbs], value[:limbs])
 
 
 # Disagreements a CrossValidationReport keeps, in index order.

@@ -372,6 +372,26 @@ class TestDensity:
         assert int(row["count"]) == density.empirical_density(label, horizon).observed_count
 
 
+class TestInternalError:
+    """An exception inside a command is one ``error:`` line, never exit 1."""
+
+    @pytest.mark.parametrize("error, code, message", [
+        (engines.FFTRoundingError("lay 0.3 from an integer"), 4,
+         "error: internal error: FFTRoundingError: lay 0.3 from an integer"),
+        (engines.ExactDivisionError("remainder 1 at index 7"), 4,
+         "error: internal error: ExactDivisionError: remainder 1 at index 7"),
+        (AssertionError("overlap"), 4, "error: internal error: AssertionError: overlap"),
+        (MemoryError(), 3, "error: out of memory"),
+    ], ids=["rounding", "division", "assertion", "memory"])
+    def test_engine_failure(self, capsys, monkeypatch, error, code, message):
+        def broken(modulus, count):
+            raise error
+        monkeypatch.setattr(engines, "motzkin_mod_stream", broken)
+        got, _, err = run(capsys, "compute", "0..10", "--mod", "8")
+        assert got == code
+        assert err == message + "\n"
+
+
 class TestHarness:
     def test_identical_invocations_identical_bytes(self, capsys):
         first = run(capsys, "density", "even", "-N", "30000")
@@ -473,3 +493,11 @@ class TestFailedWrite:
         lines = result.stderr.decode().splitlines()
         assert len(lines) == 1
         assert lines[0].startswith("error: cannot write output: ")
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+    def test_failed_writes_keep_no_descriptor(self, capsys):
+        before = len(os.listdir("/proc/self/fd"))
+        for _ in range(20):
+            assert main(["compute", "0..10", "--mod", "8", "--out", "/dev/full"]) == 3
+        capsys.readouterr()
+        assert len(os.listdir("/proc/self/fd")) == before

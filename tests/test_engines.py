@@ -4,6 +4,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -41,6 +42,9 @@ def one_limb_bits(count: int) -> int:
 
 
 ORACLE_LIMB_BITS = one_limb_bits(ORACLE_COUNT)
+# The largest modulus whose Horner reduction runs in int64 at ORACLE_COUNT:
+# m * 2**bits + 2**52 < 2**63, with the 16-bit limbs of moduli near 2**47.
+INT64_EDGE = (2**63 - 2**52 - 1) >> 16
 
 
 class TestMotzkinExact:
@@ -139,6 +143,8 @@ class TestModStream:
         pytest.param(1 << ORACLE_LIMB_BITS, id="2^b"),  # one limb: residues < 2**b
         pytest.param((1 << ORACLE_LIMB_BITS) + 1, id="2^b+1"),  # two limbs
         pytest.param((1 << 40) + 7, id="2^40+7"),
+        pytest.param(INT64_EDGE, id="int64-edge"),  # the reduction's two element types
+        pytest.param(INT64_EDGE + 1, id="object-edge"),
         pytest.param((1 << 53) + 5, id="2^53+5"),
         pytest.param((1 << 200) + 1, id="2^200+1"),
     ])
@@ -192,19 +198,39 @@ class TestModStream:
             motzkin_mod_stream(8, 101)
 
 
+def limb_rows(ring, values, count):
+    """``values`` as ``count`` rows of the ring's limbs, row j holding limb j."""
+    return np.array([[(v >> (ring.bits * j)) & ring.mask for v in values]
+                     for j in range(count)], dtype=np.int64)
+
+
 class TestLimbReduction:
     @pytest.mark.parametrize("modulus", [2, 8, 10**9 + 7, 2**61 - 1, 2**200 + 1],
                              ids=["2", "8", "1e9+7", "2^61-1", "2^200+1"])
     def test_reduce_at_quotient_boundaries(self, modulus):
-        # k*m - 1 sits just below a multiple of m, where a float quotient
-        # estimate rounds up; the reduction must still land in [0, m).
+        # k*m - 1, k*m and k*m + 1 sit on both sides of a multiple of m; the
+        # reduction must land each in [0, m), in int64 and in Python ints.
         ring = engines._LimbRing(modulus, ORACLE_COUNT)
         top = 1 << (ring.bits * (2 * ring.limbs - 1))
         values = [v for k in range(1, 9) for v in (k * modulus - 1, k * modulus, k * modulus + 1)]
         values += [top - 1, top // 3, 12345]
         values = [v for v in values if 0 <= v < top]
-        raw = ring.split(values, 2 * ring.limbs - 1)
+        raw = limb_rows(ring, values, 2 * ring.limbs - 1)
         assert ring.to_ints(ring.reduce(raw)) == [v % modulus for v in values]
+
+    def test_element_type_boundary(self):
+        rings = [engines._LimbRing(m, ORACLE_COUNT) for m in (INT64_EDGE, INT64_EDGE + 1)]
+        assert [(ring.bits, ring.dtype) for ring in rings] == [(16, np.int64), (16, object)]
+
+    @pytest.mark.parametrize("modulus", [8, INT64_EDGE, INT64_EDGE + 1, 2**200 + 1],
+                             ids=["8", "int64-edge", "object-edge", "2^200+1"])
+    def test_reduce_worst_case_rows(self, modulus):
+        # Every row at the largest value a product can hand to reduce.
+        ring = engines._LimbRing(modulus, ORACLE_COUNT)
+        rows = 2 * ring.limbs - 1
+        raw = np.full((rows, 3), 2**52 - 1, dtype=np.int64)
+        expected = sum((2**52 - 1) << (ring.bits * s) for s in range(rows)) % modulus
+        assert ring.to_ints(ring.reduce(raw)) == [expected] * 3
 
 
 class TestRoundingGuardUnderOptimize:
