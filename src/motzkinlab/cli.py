@@ -63,6 +63,10 @@ def _decimal(value) -> str:
     return f"{float(value):.12g}"
 
 
+# json.dumps builds a new encoder per call whenever an option is set.
+_JSON = json.JSONEncoder(separators=(",", ":"))
+
+
 def _emit(handle, fmt: str, columns, rows) -> None:
     """One table with a fixed column schema, as CSV (None left empty) or JSON lines.
 
@@ -76,7 +80,7 @@ def _emit(handle, fmt: str, columns, rows) -> None:
             writer.writerows(rows)
         else:
             for values in rows:
-                handle.write(json.dumps(dict(zip(columns, values)), separators=(",", ":")) + "\n")
+                handle.write(_JSON.encode(dict(zip(columns, values))) + "\n")
         handle.flush()
     except OSError as exc:
         # Keep the flushes still to come quiet: the handle's close, the
@@ -144,20 +148,19 @@ def _add_output_options(sub) -> None:
                      help="write output to PATH instead of stdout")
 
 
-def _compute_rows(engine: str, lo: int, hi: int, modulus):
-    if lo == hi:
-        return
+def _compute_values(engine: str, lo: int, hi: int, modulus):
+    """M(lo..hi-1), or its residues mod ``modulus``.
+
+    The modular stream is computed whole, before the caller writes a row;
+    the exact engines give one value at a time, as the rows are written.
+    """
     if engine == "convolution":
-        stream = engines.motzkin_mod_stream(modulus, hi)
-        for n in range(lo, hi):
-            yield n, stream.values[n]
-        return
+        return engines.motzkin_mod_stream(modulus, hi).values[lo:] if lo < hi else ()
     if engine == "sum":
         values = (engines.motzkin_exact(n) for n in range(lo, hi))
     else:
         values = itertools.islice(engines.iter_motzkin_exact(), lo, hi)
-    for n, value in zip(range(lo, hi), values):
-        yield n, (value if modulus is None else value % modulus)
+    return values if modulus is None else (value % modulus for value in values)
 
 
 def _cmd_compute(args):
@@ -173,7 +176,11 @@ def _cmd_compute(args):
         else:
             _ceiling_guard(hi, "stream length")
     columns = ("n", "value") if args.mod is None else ("n", "residue")
-    return _table(columns, _compute_rows(engine, lo, hi, args.mod))
+
+    def run(emit) -> int:
+        emit(columns, zip(range(lo, hi), _compute_values(engine, lo, hi, args.mod)))
+        return EXIT_OK
+    return run
 
 
 _CLASSIFY_COLUMNS = {

@@ -5,8 +5,8 @@ independent evaluation routes are provided so that each can falsify the
 others:
 
 ``motzkin_exact``
-    Term-by-term evaluation of the defining sum
-    ``M(n) = sum_k binom(n, 2k) * catalan(k)``.
+    The defining sum ``M(n) = sum_k binom(n, 2k) * catalan(k)``, each term
+    from the last by a small-integer ratio: O(n**2) bit operations per value.
 
 ``motzkin_exact_stream`` / ``iter_motzkin_exact``
     The three-term recurrence
@@ -102,21 +102,20 @@ def ensure_within_ceiling(requested: int, what: str = "index") -> None:
 def motzkin_exact(n: int) -> int:
     """Return the n-th Motzkin number as an exact integer.
 
-    Evaluates the defining sum ``sum_k binom(n, 2k) * catalan(k)`` term by
-    term, advancing the binomial and Catalan factors by exact integer ratios.
-    Both ratio updates divide evenly, so no rounding can occur anywhere.
+    Evaluates the defining sum ``sum_k binom(n, 2k) * catalan(k)``, advancing
+    the term t_k = n! / ((n - 2k)! k! (k + 1)!) by its ratio
+    (n - 2k)(n - 2k - 1) / ((k + 1)(k + 2)).  The division is exact because
+    t_(k+1) (k + 1)(k + 2) = t_k (n - 2k)(n - 2k - 1) and t_(k+1) is an
+    integer; the last numerator is 0, so no value goes negative.
     """
     if n < 0:
         raise ValueError(f"index must be non-negative, got {n}")
     ensure_within_ceiling(n, "index")
     total = 0
-    binomial = 1  # binom(n, 2k)
-    catalan = 1   # binom(2k, k) // (k + 1)
+    term = 1  # binom(n, 2k) * catalan(k)
     for k in range(n // 2 + 1):
-        total += binomial * catalan
-        even = 2 * k
-        binomial = binomial * (n - even) * (n - even - 1) // ((even + 1) * (even + 2))
-        catalan = catalan * (2 * (even + 1)) // (k + 2)
+        total += term
+        term = term * ((n - 2 * k) * (n - 2 * k - 1)) // ((k + 1) * (k + 2))
     return total
 
 

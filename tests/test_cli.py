@@ -1,3 +1,4 @@
+import io
 import itertools
 import json
 import os
@@ -9,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from motzkinlab import checks, density, engines
-from motzkinlab.cli import main
+from motzkinlab.cli import _emit, main
 from motzkinlab.engines import CEILING_ENV_VAR, iter_motzkin_exact, motzkin_mod_stream
 
 
@@ -68,11 +69,26 @@ class TestCompute:
         assert code == 0
         assert rows == [["13", "41835"]]
 
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    def test_sum_engine_matches_recurrence_at_30000(self, capsys, fmt):
+        by_sum = run(capsys, "compute", "30000", "--engine", "sum", "--format", fmt)
+        assert by_sum[0] == 0
+        assert by_sum == run(capsys, "compute", "30000", "--format", fmt)
+
     def test_jsonl_format(self, capsys):
         code, out, _ = run(capsys, "compute", "0..3", "--format", "jsonl")
         records = [json.loads(line) for line in out.strip().split("\n")]
         assert code == 0
         assert records == [{"n": 0, "value": 1}, {"n": 1, "value": 1}, {"n": 2, "value": 2}]
+
+    def test_jsonl_rows_match_json_dumps(self):
+        columns = ("n", "form", "value")
+        rows = [(0, None, 1), (7, "4^i", -3), (2**64 + 1, "2*5^i - 1", 3**100)]
+        handle = io.StringIO()
+        _emit(handle, "jsonl", columns, rows)
+        expected = "".join(json.dumps(dict(zip(columns, row)), separators=(",", ":")) + "\n"
+                           for row in rows)
+        assert handle.getvalue() == expected
 
     def test_out_file(self, capsys, tmp_path):
         target = tmp_path / "values.csv"
@@ -383,13 +399,18 @@ class TestInternalError:
         (AssertionError("overlap"), 4, "error: internal error: AssertionError: overlap"),
         (MemoryError(), 3, "error: out of memory"),
     ], ids=["rounding", "division", "assertion", "memory"])
-    def test_engine_failure(self, capsys, monkeypatch, error, code, message):
+    def test_engine_failure(self, capsys, monkeypatch, tmp_path, error, code, message):
         def broken(modulus, count):
             raise error
         monkeypatch.setattr(engines, "motzkin_mod_stream", broken)
-        got, _, err = run(capsys, "compute", "0..10", "--mod", "8")
+        got, out, err = run(capsys, "compute", "0..10", "--mod", "8")
         assert got == code
         assert err == message + "\n"
+        assert out == ""  # no header-only table
+        target = tmp_path / "failed.csv"
+        assert run(capsys, "compute", "0..10", "--mod", "8", "--out", str(target)) \
+            == (code, "", message + "\n")
+        assert target.read_bytes() == b""
 
 
 class TestHarness:

@@ -1,3 +1,4 @@
+import itertools
 import math
 import os
 import subprocess
@@ -66,6 +67,14 @@ class TestMotzkinExact:
     @given(st.integers(min_value=0, max_value=250))
     def test_matches_literal_sum_random(self, n):
         assert motzkin_exact(n) == motzkin_defining_sum(n)
+
+    def test_matches_recurrence_at_large_indices(self):
+        # The recurrence behind motzkin_exact_stream, walked without keeping
+        # its 30000-value prefix.
+        wanted = (9029, 12000, 30000)
+        recurrence = itertools.islice(iter_motzkin_exact(), wanted[-1] + 1)
+        by_recurrence = {n: value for n, value in enumerate(recurrence) if n in wanted}
+        assert {n: motzkin_exact(n) for n in wanted} == by_recurrence
 
     def test_negative_index_rejected(self):
         with pytest.raises(ValueError):
