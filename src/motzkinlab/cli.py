@@ -55,6 +55,22 @@ def _range_type(text: str) -> "tuple[int, int]":
     return lo, hi
 
 
+def _horizon_type(text: str) -> int:
+    """``-N`` as an int; past the interpreter's int-parsing digit limit, a short error.
+
+    argparse would otherwise echo every digit of the rejected value.
+    """
+    try:
+        return int(text)
+    except ValueError:
+        limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+        digits = text.strip().lstrip("+-").replace("_", "")
+        if limit and digits.isdigit() and len(digits) > limit:
+            raise argparse.ArgumentTypeError(
+                f"must have at most {limit} digits, got {len(digits)}") from None
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+
+
 def _fraction_str(value) -> str:
     return f"{value.numerator}/{value.denominator}"
 
@@ -313,7 +329,7 @@ def _build_parser() -> argparse.ArgumentParser:
                           epilog=_EPILOG)
     dens.add_argument("selector",
                       help="class label (see 'density table'), or 'table'")
-    dens.add_argument("-N", "--horizon", type=int, default=None,
+    dens.add_argument("-N", "--horizon", type=_horizon_type, default=None,
                       help="count class members among n < N")
     dens.add_argument("--closed", action="store_true",
                       help="emit only the exact limit")

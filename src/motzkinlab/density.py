@@ -5,10 +5,16 @@ other so they can cross-check:
 
 * closed-form limit densities as exact rationals (:func:`closed_density`,
   :func:`density_table`),
-* exact member counts below a finite horizon in O(log N) digit or
-  exponent-layer steps (:func:`count_set_exact`, :func:`count_t01_upto`),
-  with a proved error bound against the limit (:func:`count_error_bound`);
-  :func:`empirical_density` reports them for every class,
+* exact member counts below a finite horizon N, read off the digits of N
+  (:func:`count_set_exact`, :func:`count_t01_upto`), with a proved error
+  bound against the limit (:func:`count_error_bound`);
+  :func:`empirical_density` reports them for every class.  Layer e of a
+  :class:`SetSpec` family holds q_(e+1) + [d_e >= residue] members below
+  N, where q_e = (N - shift)//base**e and d_e is the base-b digit e of
+  N - shift.  For base 4 with exp_step 1 (the mod-8 families) Legendre's
+  identity turns the sum into popcounts: a fixed number of big-int
+  operations.  Every other base and step walks the quotients in
+  O(log_b N) steps that divide by a small integer,
 * counts obtained by streaming every index through the digit kernels
   (:func:`count_class_in_range`), the O(N) cross-check on the exact
   counters, plus the one route that really computes Motzkin residues
@@ -58,20 +64,57 @@ def set_density(spec: SetSpec) -> Fraction:
     return Fraction(base ** step, base ** (start + 1) * (base ** step - 1))
 
 
+def _first_exponent(spec: SetSpec) -> int:
+    """The smallest exponent e of a layer (base*i + residue) * base**e of ``spec``."""
+    return spec.exp_step * spec.min_j + spec.exp_offset
+
+
+def _layer_sizes(bound: int, spec: SetSpec):
+    """Members of ``spec`` that are <= bound, per exponent layer, lowest layer first.
+
+    Layer e holds the i >= 0 with (base*i + residue)*base**e <= bound - shift:
+    (q_e - residue)//base + 1 of them, where q_e = (bound - shift)//base**e.
+    One division reaches the first layer's quotient; each next quotient is
+    the last one floor-divided by the small base**exp_step, and the walk
+    stops at the first zero quotient, so it takes O(log_b N) small-divisor
+    steps and never forms a big power.
+    """
+    q = (bound - spec.shift) // spec.base ** _first_exponent(spec)
+    step = spec.base ** spec.exp_step
+    while q > 0:
+        yield (q - spec.residue) // spec.base + 1
+        q //= step
+
+
 def _count_members_at_most(bound: int, spec: SetSpec) -> int:
-    """Members of ``spec`` (over all i, j, sign unrestricted) that are <= bound."""
+    """Members of ``spec`` (over all i, j, sign unrestricted) that are <= bound.
+
+    With q_e = (bound - shift)//base**e and d_e the base-b digit e of
+    bound - shift, layer e holds (q_e - residue)//base + 1 = q_(e+1) +
+    [d_e >= residue] members.  For base 4 with exp_step 1 every exponent
+    from the first one on is a layer, so with y = q_first Legendre's
+    identity sum_(k>=1) y//4**k = (y - s_4(y))/3 leaves only y's digits:
+    the digit sum s_4 and the count of digits >= residue, read off the bit
+    pairs of y by popcounts under the mask 0b0101...01 over an even number
+    of bits.  That is a fixed number of big-int operations.  Every other
+    base and step walks :func:`_layer_sizes`.
+    """
+    if spec.base != 4 or spec.exp_step != 1:
+        return sum(_layer_sizes(bound, spec))
     shifted = bound - spec.shift
     if shifted <= 0:
         return 0
-    total = 0
-    power = spec.base ** (spec.exp_step * spec.min_j + spec.exp_offset)
-    step_factor = spec.base ** spec.exp_step
-    while power <= shifted:
-        layer = (shifted // power - spec.residue) // spec.base + 1
-        if layer > 0:
-            total += layer
-        power *= step_factor
-    return total
+    y = shifted >> 2 * _first_exponent(spec)
+    low = ((1 << ((y.bit_length() + 1) & ~1)) - 1) // 3
+    high = low << 1
+    digit_sum = (y & low).bit_count() + 2 * (y & high).bit_count()
+    if spec.residue == 1:
+        at_least = (y | y >> 1) & low
+    elif spec.residue == 2:
+        at_least = y & high
+    else:
+        at_least = y & y >> 1 & low
+    return (y - digit_sum) // 3 + at_least.bit_count()
 
 
 def count_set_exact(n_max: int, spec: SetSpec) -> int:
@@ -80,8 +123,12 @@ def count_set_exact(n_max: int, spec: SetSpec) -> int:
     Per admissible exponent e, the members are (base*i + residue)*base**e
     + shift with i >= 0, so each exponent layer contributes a single floor
     count.  Layers never overlap (the unit is nonzero mod base), so the
-    layer counts add up exactly.  A negative shift can push a few low-i
-    members below zero; subtracting the count at -1 removes them.
+    layer counts add up exactly.  The layer sum depends only on the base-b
+    digits of n_max - shift: for base 4 with exp_step 1 (every mod-8
+    family) it takes a fixed number of big-int operations, for any other
+    base or step O(log_b n_max) steps that each divide by a small integer.  A
+    negative shift can push a few low-i members below zero; subtracting the
+    count at -1 removes them.
     """
     if n_max < 0:
         return 0
@@ -113,7 +160,7 @@ def count_error_bound(n_max: int, spec: SetSpec) -> Fraction:
     # Largest admissible j at this horizon, floored at -1.
     trunc = _powers_upto(max(n_max - spec.shift, 1), spec.base,
                          spec.exp_offset + 1, spec.exp_step) - 1
-    smallest_exponent = spec.exp_step * spec.min_j + spec.exp_offset
+    smallest_exponent = _first_exponent(spec)
     return (
         2 * (trunc + 2)
         + Fraction(spec.residue * (trunc + 1), spec.base)
@@ -237,8 +284,8 @@ def _build_registry() -> "dict[str, _ClassEntry]":
     # Half the two-or-six population each, give or take 1/2 per exponent
     # layer: popcount parity is balanced within 1 on every prefix of i.
     def half_bound(n_max):
-        layers = sum(_powers_upto(n_max - spec.shift, spec.base,
-                                  spec.exp_step * spec.min_j + spec.exp_offset, spec.exp_step)
+        layers = sum(_powers_upto(n_max - spec.shift, spec.base, _first_exponent(spec),
+                                  spec.exp_step)
                      for spec in two_six_specs)
         return two_or_six.bound(n_max) / 2 + Fraction(layers, 2)
 
@@ -250,13 +297,9 @@ def _build_registry() -> "dict[str, _ClassEntry]":
         def exact(n_max):
             total = 0
             for spec in two_six_specs:
-                bound = n_max - spec.shift
-                power = spec.base ** (spec.exp_step * spec.min_j + spec.exp_offset)
-                while power <= bound:
-                    k = (bound // power - spec.residue) // spec.base + 1
+                for k in _layer_sizes(n_max, spec):
                     evens = _even_popcounts_below(k)
                     total += evens if (spec.residue == 1) == (code == 2) else k - evens
-                    power *= spec.base ** spec.exp_step
             return total
         return exact
 

@@ -2,8 +2,9 @@
 
 The oracles are deliberately naive and independent of the package code:
 one evaluates the defining binomial-Catalan sum with stdlib combinatorics,
-one literally enumerates lattice walks, and one runs the modular
-convolution recurrence on Python integers.
+one literally enumerates lattice walks, one runs the modular
+convolution recurrence on Python integers, and one counts SetSpec members
+by multiplying up the power of every exponent layer.
 """
 
 import math
@@ -11,7 +12,7 @@ from functools import lru_cache
 
 import pytest
 
-from motzkinlab.classify import DIV5_FORM_SPECS, MOD8_CLASS_SPECS
+from motzkinlab.classify import DIV5_FORM_SPECS, MOD8_CLASS_SPECS, SetSpec
 
 
 def motzkin_defining_sum(n: int) -> int:
@@ -48,6 +49,28 @@ def motzkin_convolution_oracle(modulus: int, count: int) -> "list[int]":
         acc = vals[n - 1] + sum(a * b for a, b in zip(head, reversed(head)))
         vals.append(acc % modulus)
     return vals
+
+
+def layer_count_oracle(n_max: int, spec: SetSpec) -> int:
+    """Members of ``spec`` in [0, n_max], one big division per exponent layer.
+
+    Layer e holds the i >= 0 with (base*i + residue)*base**e + shift <= n_max,
+    counted as (q - residue)//base + 1 with q = (n_max - shift)//base**e; the
+    members below zero that a negative shift brings are counted at -1 and
+    taken off.
+    """
+    def at_most(bound):
+        shifted = bound - spec.shift
+        total = 0
+        power = spec.base ** (spec.exp_step * spec.min_j + spec.exp_offset)
+        while power <= shifted:
+            total += max((shifted // power - spec.residue) // spec.base + 1, 0)
+            power *= spec.base ** spec.exp_step
+        return total
+
+    if n_max < 0:
+        return 0
+    return at_most(n_max) - at_most(-1)
 
 
 @pytest.fixture(scope="session")

@@ -387,6 +387,28 @@ class TestDensity:
         assert int(row["N"]) == horizon
         assert int(row["count"]) == density.empirical_density(label, horizon).observed_count
 
+    def test_horizon_digit_limit(self, capsys):
+        limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+        if not limit:
+            pytest.skip("this interpreter parses ints of any length")
+        horizon = "7" * limit
+        code, out, err = run(capsys, "density", "even", "-N", horizon)
+        assert (code, err) == (0, "")
+        header, rows = csv_rows(out)
+        row = dict(zip(header, rows[0]))
+        count = density.empirical_density("even", parse_decimal(horizon)).observed_count
+        assert parse_decimal(row["count"]) == count
+        # One digit more: a short usage error, not an echo of every digit.
+        code, out, err = run(capsys, "density", "even", "-N", horizon + "7")
+        assert (code, out) == (2, "")
+        assert len(err) < 300
+        assert err.splitlines()[-1] == ("motzkinlab density: error: argument -N/--horizon: "
+                                        f"must have at most {limit} digits, got {limit + 1}")
+        code, out, err = run(capsys, "density", "even", "-N", "12x")
+        assert (code, out) == (2, "")
+        assert err.splitlines()[-1] == ("motzkinlab density: error: argument -N/--horizon: "
+                                        "invalid int value: '12x'")
+
 
 class TestInternalError:
     """An exception inside a command is one ``error:`` line, never exit 1."""

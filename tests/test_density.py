@@ -1,5 +1,7 @@
 import random
+import time
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 from hypothesis import given
@@ -32,11 +34,44 @@ from motzkinlab.density import (
 )
 from motzkinlab.engines import CEILING_ENV_VAR, ResourceLimitError
 
+from conftest import layer_count_oracle
+
 FORM2 = DIV5_FORM_SPECS[1]
+
+# A 4001-digit horizon, past the sweep and past where a big division per
+# exponent layer stays cheap.
+HUGE_HORIZON = int(("31415926535" * 364)[:4001])
 
 
 def brute_count(spec: SetSpec, n_max: int) -> int:
     return sum(1 for n in range(n_max + 1) if is_in_set(n, spec) is not None)
+
+
+@lru_cache(maxsize=None)
+def cached_oracle(n_max: int, spec: SetSpec) -> int:
+    """layer_count_oracle, kept per (horizon, spec): it takes about 0.4 s at HUGE_HORIZON."""
+    return layer_count_oracle(n_max, spec)
+
+
+# Spec shapes for the oracle comparison.  Base 4 with exp_step 1 takes the
+# popcount path, for every residue (no classifier spec has residue 2); base
+# 5 with exp_step 1 to 3 walks the layer quotients.
+SYNTHETIC_SPECS = [
+    SetSpec(4, residue, 1, offset, shift, min_j)
+    for residue in (1, 2, 3)
+    for offset, shift, min_j in ((0, 0, 0), (1, -3, 0), (2, 2, 1), (0, -1, 1))
+] + [
+    SetSpec(5, residue, step, offset, shift, min_j)
+    for step in (1, 2, 3) for residue in (1, 4) for offset, shift, min_j in ((0, -2, 1), (1, 1, 0))
+]
+
+
+def oracle_horizons() -> "list[int]":
+    """-3..3000, both bit-length parities around powers of 4 and 2, random values to 10**60."""
+    rng = random.Random(4001)
+    near_powers = [base**k + d for base, top in ((4, 66), (2, 131))
+                   for k in range(1, top) for d in range(-3, 3)]
+    return list(range(-3, 3000)) + near_powers + [rng.randrange(10**60) for _ in range(300)]
 
 
 class TestClosedDensity:
@@ -103,6 +138,20 @@ class TestCountSetExact:
             )
             n_max = rng.randrange(0, 3000)
             assert count_set_exact(n_max, spec) == brute_count(spec, n_max)
+
+    def test_matches_layer_count_oracle(self, classifier_specs):
+        horizons = oracle_horizons()
+        for spec in classifier_specs + SYNTHETIC_SPECS:
+            for n_max in horizons:
+                assert count_set_exact(n_max, spec) == layer_count_oracle(n_max, spec), (spec, n_max)
+
+    def test_matches_layer_count_oracle_at_a_huge_horizon(self, classifier_specs):
+        # The classifier specs, base 4 with residue 2, and base 5 with the
+        # exp_steps no classifier spec has.
+        shapes = [SetSpec(4, 2, 1, 1, -1, 0)] + [SetSpec(5, 3, step, 1, -2, 0) for step in (1, 3)]
+        for spec in classifier_specs + shapes:
+            n_max = HUGE_HORIZON - 1
+            assert count_set_exact(n_max, spec) == cached_oracle(n_max, spec), spec
 
 
 class TestCountErrorBound:
@@ -369,13 +418,33 @@ class TestExactCounts:
         # No sweep reaches 10**30: check how the classes partition, and the bounds.
         horizon = 10**30
         counts = {label: empirical_density(label, horizon).observed_count for label in ALL_LABELS}
-        assert counts["mod8=2"] + counts["mod8=6"] == counts["mod4=2"]
-        assert counts["mod8=4"] + counts["mod4=2"] == counts["even"]
-        assert sum(counts[f"eps{e}_delta{d}"] for e in (1, 3) for d in (1, 2)) == counts["even"]
-        assert sum(counts[f"div5_form{form}"] for form in range(1, 5)) == counts["div5"]
+        assert_partitions(counts)
         for label in ALL_LABELS:
             report = empirical_density(label, horizon)
             assert report.abs_discrepancy <= report.error_bound, label
+
+    def test_huge_horizon(self):
+        # At 4001 digits the spec unions meet the layer-count oracle; every
+        # label finishes in seconds, where one big division per layer took
+        # about 10 s for all of them.
+        start = time.perf_counter()
+        reports = {label: empirical_density(label, HUGE_HORIZON) for label in ALL_LABELS}
+        elapsed = time.perf_counter() - start
+        counts = {label: report.observed_count for label, report in reports.items()}
+        for label, specs in SPEC_UNIONS.items():
+            assert counts[label] == sum(cached_oracle(HUGE_HORIZON - 1, s) for s in specs), label
+        assert_partitions(counts)
+        for label, report in reports.items():
+            assert report.abs_discrepancy <= report.error_bound, label
+        assert elapsed < 5, elapsed
+
+
+def assert_partitions(counts) -> None:
+    """How the label counts at one horizon must add up."""
+    assert counts["mod8=2"] + counts["mod8=6"] == counts["mod4=2"]
+    assert counts["mod8=4"] + counts["mod4=2"] == counts["even"]
+    assert sum(counts[f"eps{e}_delta{d}"] for e in (1, 3) for d in (1, 2)) == counts["even"]
+    assert sum(counts[f"div5_form{form}"] for form in range(1, 5)) == counts["div5"]
 
 
 # Exact bounds.  The tests above only check that bounds hold, so an
