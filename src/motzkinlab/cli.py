@@ -46,19 +46,21 @@ _EPILOG = (
 def _range_type(text: str) -> "tuple[int, int]":
     if ".." in text:
         left, right = text.split("..", 1)
-        lo, hi = int(left), int(right)
+        lo, hi = _int_type(left), _int_type(right)
     else:
-        lo = int(text)
+        lo = _int_type(text)
         hi = lo + 1
     if lo < 0 or hi < lo:
         raise ValueError(f"bad range {text!r}")
     return lo, hi
 
 
-def _horizon_type(text: str) -> int:
-    """``-N`` as an int; past the interpreter's int-parsing digit limit, a short error.
+def _int_type(text: str) -> int:
+    """Every integer argument; past the interpreter's int-parsing digit limit, a short error.
 
-    argparse would otherwise echo every digit of the rejected value.
+    argparse would otherwise echo every digit of the rejected value.  Any
+    other bad value stays a ValueError, which argparse reports under the
+    name of the type function: ``int`` here, ``_range_type`` for a range.
     """
     try:
         return int(text)
@@ -68,7 +70,10 @@ def _horizon_type(text: str) -> int:
         if limit and digits.isdigit() and len(digits) > limit:
             raise argparse.ArgumentTypeError(
                 f"must have at most {limit} digits, got {len(digits)}") from None
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        raise
+
+
+_int_type.__name__ = "int"
 
 
 def _fraction_str(value) -> str:
@@ -296,7 +301,7 @@ def _build_parser() -> argparse.ArgumentParser:
                              epilog=_EPILOG)
     compute.add_argument("range", type=_range_type,
                          help="index range a..b (half-open) or single index")
-    compute.add_argument("--mod", type=int, default=None,
+    compute.add_argument("--mod", type=_int_type, default=None,
                          help="reduce values modulo this integer (>= 2)")
     compute.add_argument("--engine", choices=("sum", "holonomic", "convolution"),
                          default=None,
@@ -309,7 +314,7 @@ def _build_parser() -> argparse.ArgumentParser:
                               epilog=_EPILOG)
     classify.add_argument("range", type=_range_type,
                           help="index range a..b (half-open) or single index")
-    classify.add_argument("--mod", type=int, choices=checks.SUPPORTED_MODULI,
+    classify.add_argument("--mod", type=_int_type, choices=checks.SUPPORTED_MODULI,
                           required=True, help="modulus to classify against")
     _add_output_options(classify)
     classify.set_defaults(func=_cmd_classify)
@@ -317,9 +322,9 @@ def _build_parser() -> argparse.ArgumentParser:
     verify = sub.add_parser("verify",
                             help="compare classifiers with engine residues",
                             epilog=_EPILOG)
-    verify.add_argument("count", type=int,
+    verify.add_argument("count", type=_int_type,
                         help="check all indices n < count")
-    verify.add_argument("--mod", type=int, choices=checks.SUPPORTED_MODULI,
+    verify.add_argument("--mod", type=_int_type, choices=checks.SUPPORTED_MODULI,
                         required=True, help="modulus to verify")
     _add_output_options(verify)
     verify.set_defaults(func=_cmd_verify)
@@ -329,7 +334,7 @@ def _build_parser() -> argparse.ArgumentParser:
                           epilog=_EPILOG)
     dens.add_argument("selector",
                       help="class label (see 'density table'), or 'table'")
-    dens.add_argument("-N", "--horizon", type=_horizon_type, default=None,
+    dens.add_argument("-N", "--horizon", type=_int_type, default=None,
                       help="count class members among n < N")
     dens.add_argument("--closed", action="store_true",
                       help="emit only the exact limit")

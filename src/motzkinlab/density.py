@@ -7,7 +7,7 @@ other so they can cross-check:
   :func:`density_table`),
 * exact member counts below a finite horizon N, read off the digits of N
   (:func:`count_set_exact`, :func:`count_t01_upto`), with a proved error
-  bound against the limit (:func:`count_error_bound`);
+  bound (:func:`count_error_bound`) from the top exponent floor(log_b N);
   :func:`empirical_density` reports them for every class.  Layer e of a
   :class:`SetSpec` family holds q_(e+1) + [d_e >= residue] members below
   N, where q_e = (N - shift)//base**e and d_e is the base-b digit e of
@@ -21,12 +21,13 @@ other so they can cross-check:
   (:func:`empirical_residue_distribution`).
 
 Each class label has one entry in an ordered registry that holds its
-limit, its per-chunk kernel count, its error bound and its exact counter;
-the registry labels are the only selectors.  Classes that are disjoint
-unions of :class:`SetSpec` families derive all four by summing over their
-specs.
+limit, its per-chunk kernel count, and one call that returns its exact
+count together with its error bound; the registry labels are the only
+selectors.  Classes that are disjoint unions of :class:`SetSpec` families
+derive all three by summing over their specs.
 """
 
+import math
 from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
@@ -138,35 +139,32 @@ def count_set_exact(n_max: int, spec: SetSpec) -> int:
     return total
 
 
-def _powers_upto(limit: int, base: int, first: int, step: int) -> int:
-    """How many t >= 0 have base**(first + step*t) <= limit (0 for limit <= 0)."""
-    count, power, factor = 0, base ** first, base ** step
-    while power <= limit:
-        count += 1
-        power *= factor
-    return count
+def _top_exponent(x: int, base: int) -> int:
+    """floor(log_base(x)) for x >= 1; the bit-length estimate d is off by at most one."""
+    d = int((x.bit_length() - 1) / math.log2(base))
+    if base ** d > x:
+        return d - 1
+    return d + 1 if base ** (d + 1) <= x else d
 
 
 def count_error_bound(n_max: int, spec: SetSpec) -> Fraction:
     """Proved bound on ``|count_set_exact(n_max, spec) - n_max * density|``.
 
-    Budget: each of the at most U + 2 exponent layers costs at most 1 of
-    rounding error, truncating the geometric tail costs less than 1, and
-    moving the horizon by the shift costs at most |shift|.  The expression
-    below rounds that up; the trailing term only kicks in for shifts at
-    least base**(smallest exponent), so it vanishes for every classifier
-    spec.  The tests check the bound against brute-force counts.
+    Budget: each of the at most trunc + 2 exponent layers, none above the
+    horizon's top exponent D = floor(log_base(n_max - shift)), costs at most
+    1 of rounding error, truncating the geometric tail costs less than 1,
+    and moving the horizon by the shift costs at most |shift|.  The
+    expression below rounds that up; its max(0, ...) term only kicks in for
+    shifts at least base**(smallest exponent), so it vanishes for every
+    classifier spec.  The tests check the bound against brute-force counts.
     """
-    # Largest admissible j at this horizon, floored at -1.
-    trunc = _powers_upto(max(n_max - spec.shift, 1), spec.base,
-                         spec.exp_offset + 1, spec.exp_step) - 1
-    smallest_exponent = _first_exponent(spec)
-    return (
-        2 * (trunc + 2)
-        + Fraction(spec.residue * (trunc + 1), spec.base)
-        + spec.base ** smallest_exponent
-        + max(0, abs(spec.shift) + 1 - spec.base ** smallest_exponent)
-    )
+    # Largest t with exp_offset + 1 + exp_step*t <= D, floored at -1.
+    top = _top_exponent(max(n_max - spec.shift, 1), spec.base)
+    trunc = max(-1, (top - spec.exp_offset - 1) // spec.exp_step)
+    smallest = spec.base ** _first_exponent(spec)
+    whole = 2 * (trunc + 2) + smallest + max(0, abs(spec.shift) + 1 - smallest)
+    # One Fraction: its arithmetic, not the layer count, is the bound's main cost.
+    return Fraction(whole * spec.base + spec.residue * (trunc + 1), spec.base)
 
 
 def count_t01_upto(n_max: int) -> int:
@@ -196,7 +194,7 @@ def count_t01_upto(n_max: int) -> int:
 
 def _t01_ceiling(n_max: int) -> int:
     """2**(floor(log3(n_max)) + 1), the classic cap on count_t01_upto."""
-    return 2 << _powers_upto(max(n_max, 1), 3, 1, 1)
+    return 2 << _top_exponent(max(n_max, 1), 3)
 
 
 class _ClassEntry(NamedTuple):
@@ -204,16 +202,15 @@ class _ClassEntry(NamedTuple):
 
     ``count`` counts the members in one int64 chunk of indices through the
     :mod:`motzkinlab.bulk` kernels, looked up on ``bulk`` at call time;
-    ``bound(n_max)`` caps |members in [0, n_max] - n_max * limit|;
-    ``exact(n_max)`` is the number of members in [0, n_max], in O(log n_max)
-    steps and for any n_max >= -1.  ``count`` shares no code with ``exact``,
-    so the sweep checks it.
+    ``exact(n_max)`` is one call for (members in [0, n_max], a bound on
+    |that count - n_max * limit|), in O(log n_max) steps and for any
+    n_max >= -1.  ``count`` shares no code with ``exact``, so the sweep
+    checks it.
     """
 
     limit: Fraction
     count: "Callable[[np.ndarray], int]"
-    bound: "Callable[[int], Fraction]"
-    exact: "Callable[[int], int]"
+    exact: "Callable[[int], tuple[int, Fraction]]"
 
 
 def _spec_union(specs) -> _ClassEntry:
@@ -221,7 +218,7 @@ def _spec_union(specs) -> _ClassEntry:
 
     A chunk's count sums the spec masks of ``bulk.in_set_masks``; with several
     specs, a member of two masks raises AssertionError, which survives ``-O``.
-    The exact count sums :func:`count_set_exact` over the specs.
+    The pair sums :func:`count_set_exact` and :func:`count_error_bound` over the specs.
     """
     specs = tuple(specs)
 
@@ -232,12 +229,11 @@ def _spec_union(specs) -> _ClassEntry:
             raise AssertionError("overlapping families in a spec union")
         return total
 
-    return _ClassEntry(
-        limit=sum(map(set_density, specs), Fraction(0)),
-        count=count,
-        bound=lambda n_max: sum(count_error_bound(n_max, spec) for spec in specs),
-        exact=lambda n_max: sum(count_set_exact(n_max, spec) for spec in specs),
-    )
+    def exact(n_max):
+        return (sum(count_set_exact(n_max, spec) for spec in specs),
+                sum(count_error_bound(n_max, spec) for spec in specs))
+
+    return _ClassEntry(limit=sum(map(set_density, specs), Fraction(0)), count=count, exact=exact)
 
 
 def _coded(kernel: str, code) -> "Callable[[np.ndarray], int]":
@@ -268,7 +264,7 @@ def _mod3_counts(n_max: int) -> "tuple[int, int, int]":
 def _build_registry() -> "dict[str, _ClassEntry]":
     """Every class label, in table order, with its entry.
 
-    Limits, bounds, counts and exact counters of spec unions are derived
+    Limits, chunk counts and (count, bound) pairs of spec unions are derived
     from their specs; the mod8=2 and mod8=6 halves, mod 3 and zero-one
     entries state theirs.  The test suite checks every limit against
     hand-computed rationals and every exact counter against the sweep.
@@ -281,47 +277,41 @@ def _build_registry() -> "dict[str, _ClassEntry]":
     two_six_specs = [mod8[(1, 2)], mod8[(3, 1)]]
     two_or_six = _spec_union(two_six_specs)
 
-    # Half the two-or-six population each, give or take 1/2 per exponent
-    # layer: popcount parity is balanced within 1 on every prefix of i.
-    def half_bound(n_max):
-        layers = sum(_powers_upto(n_max - spec.shift, spec.base, _first_exponent(spec),
-                                  spec.exp_step)
-                     for spec in two_six_specs)
-        return two_or_six.bound(n_max) / 2 + Fraction(layers, 2)
-
     # n = (4i + eps) * 4**e - delta gives 2 or 6 by the parity of the one
     # bits of 4i + eps - 1: those of i for eps = 1, one more for eps = 3.
     # Every member is at least 4*eps - delta >= 2, so no layer reaches
-    # below zero.
+    # below zero.  Each half holds half the two-or-six population, give or
+    # take 1/2 per exponent layer: popcount parity is balanced within 1 on
+    # every prefix of i.
     def half_exact(code):
         def exact(n_max):
-            total = 0
+            total = layers = 0
             for spec in two_six_specs:
                 for k in _layer_sizes(n_max, spec):
                     evens = _even_popcounts_below(k)
                     total += evens if (spec.residue == 1) == (code == 2) else k - evens
-            return total
+                    layers += 1
+            bound = sum(count_error_bound(n_max, spec) for spec in two_six_specs)
+            return total, bound / 2 + Fraction(layers, 2)
         return exact
 
     for code in (2, 6):
         registry[f"mod8={code}"] = _ClassEntry(
-            two_or_six.limit / 2, _coded("mod8_kind_codes", code), half_bound, half_exact(code))
+            two_or_six.limit / 2, _coded("mod8_kind_codes", code), half_exact(code))
     registry["mod4=2"] = two_or_six
     # M(n) mod 3 is nonzero only where n // 3 or n // 3 + 1 is a zero-one
     # number: at most two zero-one counts per nonzero residue, and for
     # residue 0 both of those plus one.
-    registry["mod3=0"] = _ClassEntry(
-        Fraction(1), _coded("mod3_values", 0), lambda n_max: 3 * _t01_ceiling(n_max),
-        lambda n_max: _mod3_counts(n_max)[0])
-    for value in (1, 2):
+    for value in range(3):
         registry[f"mod3={value}"] = _ClassEntry(
-            Fraction(0), _coded("mod3_values", value), lambda n_max: 2 * _t01_ceiling(n_max),
-            lambda n_max, value=value: _mod3_counts(n_max)[value])
+            Fraction(1 if value == 0 else 0), _coded("mod3_values", value),
+            lambda n_max, value=value: (_mod3_counts(n_max)[value],
+                                        (3 if value == 0 else 2) * _t01_ceiling(n_max)))
     registry["div5"] = _spec_union(DIV5_FORM_SPECS)
     for form, spec in enumerate(DIV5_FORM_SPECS, start=1):
         registry[f"div5_form{form}"] = _spec_union([spec])
-    registry["t01"] = _ClassEntry(
-        Fraction(0), _coded("t01_mask", True), _t01_ceiling, count_t01_upto)
+    registry["t01"] = _ClassEntry(Fraction(0), _coded("t01_mask", True),
+                                  lambda n_max: (count_t01_upto(n_max), _t01_ceiling(n_max)))
     return registry
 
 
@@ -400,12 +390,13 @@ def empirical_density(selector, horizon: int) -> DensityReport:
     if horizon < 1:
         raise ValueError(f"horizon must be at least 1, got {horizon}")
     entry = _entry(selector)
+    count, bound = entry.exact(horizon - 1)
     return DensityReport(
         label=selector,
         limit_value=entry.limit,
         horizon=horizon,
-        observed_count=entry.exact(horizon - 1),
-        error_bound=float(Fraction(entry.bound(horizon - 1), horizon)),
+        observed_count=count,
+        error_bound=float(Fraction(bound, horizon)),
     )
 
 

@@ -3,11 +3,13 @@
 The oracles are deliberately naive and independent of the package code:
 one evaluates the defining binomial-Catalan sum with stdlib combinatorics,
 one literally enumerates lattice walks, one runs the modular
-convolution recurrence on Python integers, and one counts SetSpec members
-by multiplying up the power of every exponent layer.
+convolution recurrence on Python integers, and two multiply up the power
+of every exponent layer: one counts SetSpec members, one rebuilds the
+error bound of a SetSpec count.
 """
 
 import math
+from fractions import Fraction
 from functools import lru_cache
 
 import pytest
@@ -71,6 +73,23 @@ def layer_count_oracle(n_max: int, spec: SetSpec) -> int:
     if n_max < 0:
         return 0
     return at_most(n_max) - at_most(-1)
+
+
+def error_bound_oracle(n_max: int, spec: SetSpec) -> Fraction:
+    """``count_error_bound`` with its layer count taken by multiplying up powers.
+
+    trunc + 1 is the number of t >= 0 with
+    base**(exp_offset + 1 + exp_step*t) <= max(n_max - shift, 1).
+    """
+    limit = max(n_max - spec.shift, 1)
+    layers, power = 0, spec.base ** (spec.exp_offset + 1)
+    while power <= limit:
+        layers += 1
+        power *= spec.base ** spec.exp_step
+    trunc = layers - 1
+    smallest = spec.base ** (spec.exp_step * spec.min_j + spec.exp_offset)
+    return (2 * (trunc + 2) + Fraction(spec.residue * (trunc + 1), spec.base) + smallest
+            + max(0, abs(spec.shift) + 1 - smallest))
 
 
 @pytest.fixture(scope="session")

@@ -410,6 +410,40 @@ class TestDensity:
                                         "invalid int value: '12x'")
 
 
+class TestIntegerArguments:
+    """Every integer argument parses the same way, whatever its command."""
+
+    @pytest.mark.parametrize("argv, name", [
+        (("classify", "{n}", "--mod", "8"), "range"),
+        (("classify", "0..{n}", "--mod", "8"), "range"),
+        (("compute", "0..10", "--mod", "{n}"), "--mod"),
+        (("verify", "{n}", "--mod", "8"), "count"),
+    ])
+    def test_past_the_digit_limit(self, capsys, argv, name):
+        limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+        if not limit:
+            pytest.skip("this interpreter parses ints of any length")
+        digits = limit + 100
+        code, out, err = run(capsys, *(arg.format(n="7" * digits) for arg in argv))
+        assert (code, out) == (2, "")
+        assert len(err) < 300
+        assert err.splitlines()[-1] == (f"motzkinlab {argv[0]}: error: argument {name}: "
+                                        f"must have at most {limit} digits, got {digits}")
+
+    @pytest.mark.parametrize("argv, message", [
+        (("classify", "x", "--mod", "8"), "argument range: invalid _range_type value: 'x'"),
+        (("classify", "1..x", "--mod", "8"), "argument range: invalid _range_type value: '1..x'"),
+        (("classify", "5..3", "--mod", "8"), "argument range: invalid _range_type value: '5..3'"),
+        (("compute", "0..10", "--mod", "x"), "argument --mod: invalid int value: 'x'"),
+        (("verify", "1e3", "--mod", "8"), "argument count: invalid int value: '1e3'"),
+        (("density", "even", "-N", "0x10"), "argument -N/--horizon: invalid int value: '0x10'"),
+    ])
+    def test_bad_values_within_the_limit(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.splitlines()[-1] == f"motzkinlab {argv[0]}: error: {message}"
+
+
 class TestInternalError:
     """An exception inside a command is one ``error:`` line, never exit 1."""
 

@@ -31,10 +31,11 @@ from motzkinlab.density import (
     empirical_density,
     empirical_residue_distribution,
     set_density,
+    _REGISTRY,
 )
 from motzkinlab.engines import CEILING_ENV_VAR, ResourceLimitError
 
-from conftest import layer_count_oracle
+from conftest import error_bound_oracle, layer_count_oracle
 
 FORM2 = DIV5_FORM_SPECS[1]
 
@@ -187,6 +188,25 @@ class TestCountErrorBound:
                        min_j=min_j)
         gap = abs(count_set_exact(n_max, spec) - n_max * set_density(spec))
         assert gap <= count_error_bound(n_max, spec)
+
+    def test_matches_error_bound_oracle(self, classifier_specs):
+        # The tests above only check that a bound holds, and the pinned
+        # bounds cover only the classifier specs: compare the exact bound,
+        # whose layer count is off by one at the slightest slip.  Its layer
+        # count changes only at n_max = base**k + shift, so past 300 the
+        # grid takes just the horizons next to those.
+        grid = [SetSpec(base, base - 1, step, offset, shift, min_j)
+                for base in range(2, 8) for step in (1, 2, 3) for offset in (0, 1, 2)
+                for shift in (-3, 0, 2) for min_j in (0, 1)]
+        rng = random.Random(16)
+        sampled = [rng.randrange(10**60) for _ in range(30)] + [HUGE_HORIZON - 1]
+        for dense, specs in ((3000, classifier_specs + SYNTHETIC_SPECS), (300, grid)):
+            for spec in specs:
+                near_powers = [spec.base**k + spec.shift + d
+                               for k in range(1, 204) if spec.base**k < 10**61 for d in (-1, 0, 1)]
+                for n_max in [*range(-3, dense + 1), *near_powers, *sampled]:
+                    assert count_error_bound(n_max, spec) == error_bound_oracle(n_max, spec), \
+                        (spec, n_max)
 
 
 class TestCountT01:
@@ -434,8 +454,12 @@ class TestExactCounts:
         for label, specs in SPEC_UNIONS.items():
             assert counts[label] == sum(cached_oracle(HUGE_HORIZON - 1, s) for s in specs), label
         assert_partitions(counts)
+        # The report's float discrepancy and bound both underflow to 0.0
+        # here, so check the registry's (count, bound) in exact rationals.
         for label, report in reports.items():
-            assert report.abs_discrepancy <= report.error_bound, label
+            count, bound = _REGISTRY[label].exact(HUGE_HORIZON - 1)
+            assert count == report.observed_count, label
+            assert abs(count - HUGE_HORIZON * report.limit_value) <= bound, label
         assert elapsed < 5, elapsed
 
 
