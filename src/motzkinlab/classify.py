@@ -3,6 +3,13 @@
 Everything here decides residue classes of M(n) from the base-q structure of
 the index n alone; no Motzkin number is ever computed.  The classifiers
 accept arbitrary-precision indices.
+
+Each scalar classifier costs one :func:`_split` per distinct additive shift
+of its index families (two each for mod 8 and div 5), plus O(1) big-int
+operations.  A negative outcome allocates nothing: every odd mod-8 result is
+the one shared frozen ``Mod8Classification(Mod8Kind.ODD)`` and every
+not-divisible result the one shared ``Div5Classification()``, so compare
+results with ``==``; their identity means nothing.
 """
 
 import enum
@@ -17,21 +24,30 @@ class ValuationDecomposition(NamedTuple):
     exponent: int
 
 
+def _split(x: int, base: int) -> "tuple[int, int]":
+    """``(unit, exponent)`` with ``x = unit * base**exponent`` and base not dividing unit.
+
+    Unchecked: x >= 1 and base >= 2.  Divides while it can, which costs one
+    ``%`` when base does not divide x.
+    """
+    exponent = 0
+    while x % base == 0:
+        x //= base
+        exponent += 1
+    return x, exponent
+
+
 def factor_out_base(n: int, base: int) -> ValuationDecomposition:
     """Write ``n = unit * base**exponent`` with ``unit`` not divisible by ``base``.
 
     Defined for n >= 1 only; every membership predicate below strips its
-    additive shift before calling this.
+    additive shift before factoring.
     """
     if base < 2:
         raise ValueError(f"base must be at least 2, got {base}")
     if n < 1:
         raise ValueError(f"valuation decomposition needs n >= 1, got {n}")
-    unit, exponent = n, 0
-    while unit % base == 0:
-        unit //= base
-        exponent += 1
-    return ValuationDecomposition(unit, exponent)
+    return ValuationDecomposition(*_split(n, base))
 
 
 @dataclass(frozen=True)
@@ -74,6 +90,21 @@ class SetSpec:
         return (self.base * i + self.residue) * scale + self.shift
 
 
+def _witness(spec: SetSpec, unit: int, exponent: int) -> "tuple[int, int] | None":
+    """Witness (i, j) of ``spec`` for the number ``unit * spec.base**exponent + spec.shift``.
+
+    ``(unit, exponent)`` is the :func:`_split` of n - spec.shift by spec.base.
+    """
+    if exponent < spec.exp_step * spec.min_j + spec.exp_offset:
+        return None
+    if unit % spec.base != spec.residue:
+        return None
+    j, off_step = divmod(exponent - spec.exp_offset, spec.exp_step)
+    if off_step:
+        return None
+    return (unit - spec.residue) // spec.base, j
+
+
 def is_in_set(n: int, spec: SetSpec) -> "tuple[int, int] | None":
     """Witness (i, j) with ``spec.member(i, j) == n``, or None.
 
@@ -83,16 +114,7 @@ def is_in_set(n: int, spec: SetSpec) -> "tuple[int, int] | None":
     shifted = n - spec.shift
     if shifted <= 0:
         return None
-    unit, exponent = factor_out_base(shifted, spec.base)
-    if unit % spec.base != spec.residue:
-        return None
-    if exponent < spec.exp_step * spec.min_j + spec.exp_offset:
-        return None
-    if (exponent - spec.exp_offset) % spec.exp_step != 0:
-        return None
-    i = (unit - spec.residue) // spec.base
-    j = (exponent - spec.exp_offset) // spec.exp_step
-    return i, j
+    return _witness(spec, *_split(shifted, spec.base))
 
 
 class Mod8Kind(enum.Enum):
@@ -144,15 +166,14 @@ class Mod8Classification:
     ones_count: "int | None" = None  # one bits of 4*i + eps - 1; parity picks 2 vs 6
 
     def __post_init__(self) -> None:
-        if (self.witness is None) != (self.kind is Mod8Kind.ODD):
+        # Read off the kind's residue: Mod8Kind.X lookups cost more than the checks.
+        residue = self.kind.even_residue
+        if (self.witness is None) != (residue is None):
             raise ValueError("witness must be present exactly for even kinds")
-        two_or_six = self.kind in (Mod8Kind.RESIDUE_2, Mod8Kind.RESIDUE_6)
-        if (self.ones_count is None) == two_or_six:
+        if (self.ones_count is None) == (residue in (2, 6)):
             raise ValueError("ones_count must be present exactly for kinds 2 and 6")
-        if self.ones_count is not None:
-            expected = Mod8Kind.RESIDUE_2 if self.ones_count % 2 == 0 else Mod8Kind.RESIDUE_6
-            if self.kind is not expected:
-                raise ValueError("ones_count parity disagrees with the kind")
+        if self.ones_count is not None and residue != (6 if self.ones_count % 2 else 2):
+            raise ValueError("ones_count parity disagrees with the kind")
 
     @property
     def is_even(self) -> bool:
@@ -168,6 +189,10 @@ MOD8_CLASS_SPECS: "dict[tuple[int, int], SetSpec]" = {
 }
 
 
+# Every odd outcome, built and validated once.
+_ODD = Mod8Classification(Mod8Kind.ODD)
+
+
 def classify_mod8(n: int) -> Mod8Classification:
     """Residue class of M(n) mod 8, decided from n alone.
 
@@ -176,23 +201,25 @@ def classify_mod8(n: int) -> Mod8Classification:
     families are pairwise disjoint.  Choices (1, 1) and (3, 2) force
     M(n) = 4 mod 8; the other two give M(n) = 4*y + 2 mod 8, where y counts
     the one bits of ``4*i + eps - 1``, so y's parity separates 2 from 6.
+
+    Costs one base-4 :func:`_split` of n + 1 and one of n + 2.  Every ODD
+    outcome is the same shared frozen instance.
     """
     if n < 0:
         raise ValueError(f"index must be non-negative, got {n}")
     match = None
     for delta in (1, 2):
-        unit, exponent = factor_out_base(n + delta, 4)
-        if exponent >= 1 and unit % 2 == 1:
+        unit, exponent = _split(n + delta, 4)
+        if exponent and unit & 1:
             if match is not None:
                 raise AssertionError(f"two (eps, delta) witnesses for n={n}")
-            eps = unit % 4
-            witness = Mod8Witness(eps=eps, delta=delta, i=(unit - eps) // 4,
-                                  j=exponent - 1)
-            match = (witness, unit)
+            match = delta, unit, exponent
     if match is None:
-        return Mod8Classification(Mod8Kind.ODD)
-    witness, unit = match
-    if (witness.eps, witness.delta) in ((1, 1), (3, 2)):
+        return _ODD
+    delta, unit, exponent = match
+    eps = unit & 3
+    witness = Mod8Witness(eps, delta, unit >> 2, exponent - 1)
+    if (eps, delta) in ((1, 1), (3, 2)):
         return Mod8Classification(Mod8Kind.RESIDUE_4, witness)
     ones = (unit - 1).bit_count()
     kind = Mod8Kind.RESIDUE_2 if ones % 2 == 0 else Mod8Kind.RESIDUE_6
@@ -270,21 +297,40 @@ class Div5Classification:
         return spec.member(i, j - spec.exp_offset)
 
 
+# Every not-divisible outcome, built and validated once.
+_NOT_DIVISIBLE = Div5Classification()
+
+
+# The (form, spec) pairs of DIV5_FORM_SPECS under each (shift, base), forms
+# from 1.  Every shift is negative, so n - shift >= 1 for every index n >= 0.
+_DIV5_GROUPS: "dict[tuple[int, int], list[tuple[int, SetSpec]]]" = {
+    key: [(form, spec) for form, spec in enumerate(DIV5_FORM_SPECS, start=1)
+          if (spec.shift, spec.base) == key]
+    for key in dict.fromkeys((spec.shift, spec.base) for spec in DIV5_FORM_SPECS)
+}
+
+
 def classify_div5(n: int) -> Div5Classification:
     """Whether 5 divides M(n), with the matching index form and witness.
 
     5 | M(n) exactly when n is ``(5i+1)*5**(2j) - 2``, ``(5i+2)*5**(2j-1) - 1``,
     ``(5i+3)*5**(2j-1) - 2`` or ``(5i+4)*5**(2j) - 1`` with i >= 0, j >= 1.
     The four families are pairwise disjoint; witnesses use this indexing.
+
+    The forms share two shifts, so this costs one base-5 :func:`_split` of
+    n + 2 and one of n + 1.  Every not-divisible outcome is the same shared
+    frozen instance.
     """
     if n < 0:
         raise ValueError(f"index must be non-negative, got {n}")
     found = None
-    for form, spec in enumerate(DIV5_FORM_SPECS, start=1):
-        hit = is_in_set(n, spec)
-        if hit is not None:
-            if found is not None:
-                raise AssertionError(f"two divisibility forms for n={n}")
-            i, j = hit
-            found = Div5Classification(form, Div5Witness(i, j + spec.exp_offset))
-    return found if found is not None else Div5Classification()
+    for (shift, base), members in _DIV5_GROUPS.items():
+        unit, exponent = _split(n - shift, base)
+        for form, spec in members:
+            hit = _witness(spec, unit, exponent)
+            if hit is not None:
+                if found is not None:
+                    raise AssertionError(f"two divisibility forms for n={n}")
+                i, j = hit
+                found = Div5Classification(form, Div5Witness(i, j + spec.exp_offset))
+    return found if found is not None else _NOT_DIVISIBLE

@@ -58,8 +58,10 @@ def _range_type(text: str) -> "tuple[int, int]":
 def _int_type(text: str) -> int:
     """Every integer argument; past the interpreter's int-parsing digit limit, a short error.
 
-    argparse would otherwise echo every digit of the rejected value.  Any
-    other bad value stays a ValueError, which argparse reports under the
+    A rejected value longer than the limit, once its sign, underscores and
+    surrounding whitespace are dropped, gets the short error whether or not
+    it is all digits: argparse would otherwise echo every character of it.
+    Any other bad value stays a ValueError, which argparse reports under the
     name of the type function: ``int`` here, ``_range_type`` for a range.
     """
     try:
@@ -67,7 +69,7 @@ def _int_type(text: str) -> int:
     except ValueError:
         limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
         digits = text.strip().lstrip("+-").replace("_", "")
-        if limit and digits.isdigit() and len(digits) > limit:
+        if limit and len(digits) > limit:
             raise argparse.ArgumentTypeError(
                 f"must have at most {limit} digits, got {len(digits)}") from None
         raise

@@ -158,13 +158,17 @@ def count_error_bound(n_max: int, spec: SetSpec) -> Fraction:
     shifts at least base**(smallest exponent), so it vanishes for every
     classifier spec.  The tests check the bound against brute-force counts.
     """
+    return Fraction(_bound_numerator(n_max, spec), spec.base)
+
+
+def _bound_numerator(n_max: int, spec: SetSpec) -> int:
+    """``count_error_bound(n_max, spec) * spec.base``, an integer."""
     # Largest t with exp_offset + 1 + exp_step*t <= D, floored at -1.
     top = _top_exponent(max(n_max - spec.shift, 1), spec.base)
     trunc = max(-1, (top - spec.exp_offset - 1) // spec.exp_step)
     smallest = spec.base ** _first_exponent(spec)
     whole = 2 * (trunc + 2) + smallest + max(0, abs(spec.shift) + 1 - smallest)
-    # One Fraction: its arithmetic, not the layer count, is the bound's main cost.
-    return Fraction(whole * spec.base + spec.residue * (trunc + 1), spec.base)
+    return whole * spec.base + spec.residue * (trunc + 1)
 
 
 def count_t01_upto(n_max: int) -> int:
@@ -213,14 +217,28 @@ class _ClassEntry(NamedTuple):
     exact: "Callable[[int], tuple[int, Fraction]]"
 
 
+def _union_bound(specs) -> "tuple[int, Callable[[int], int]]":
+    """The specs' shared base, and n_max -> the sum of their bounds times that base.
+
+    Unions add their :func:`count_error_bound` values as these integers and
+    build one Fraction: Fraction arithmetic, not the layer count, is a
+    bound's main cost.  Specs of different bases raise ValueError.
+    """
+    specs = tuple(specs)
+    (base,) = {spec.base for spec in specs}
+    return base, lambda n_max: sum(_bound_numerator(n_max, spec) for spec in specs)
+
+
 def _spec_union(specs) -> _ClassEntry:
     """Entry for a disjoint union of SetSpec families: limits, bounds and counts add.
 
     A chunk's count sums the spec masks of ``bulk.in_set_masks``; with several
     specs, a member of two masks raises AssertionError, which survives ``-O``.
-    The pair sums :func:`count_set_exact` and :func:`count_error_bound` over the specs.
+    The pair sums :func:`count_set_exact` over the specs and takes the bound
+    from :func:`_union_bound`.
     """
     specs = tuple(specs)
+    base, bound_numerator = _union_bound(specs)
 
     def count(arr):
         masks = bulk.in_set_masks(arr, specs)
@@ -231,7 +249,7 @@ def _spec_union(specs) -> _ClassEntry:
 
     def exact(n_max):
         return (sum(count_set_exact(n_max, spec) for spec in specs),
-                sum(count_error_bound(n_max, spec) for spec in specs))
+                Fraction(bound_numerator(n_max), base))
 
     return _ClassEntry(limit=sum(map(set_density, specs), Fraction(0)), count=count, exact=exact)
 
@@ -276,6 +294,7 @@ def _build_registry() -> "dict[str, _ClassEntry]":
     registry["mod8=4"] = _spec_union([mod8[(1, 1)], mod8[(3, 2)]])
     two_six_specs = [mod8[(1, 2)], mod8[(3, 1)]]
     two_or_six = _spec_union(two_six_specs)
+    base, bound_numerator = _union_bound(two_six_specs)
 
     # n = (4i + eps) * 4**e - delta gives 2 or 6 by the parity of the one
     # bits of 4i + eps - 1: those of i for eps = 1, one more for eps = 3.
@@ -291,8 +310,8 @@ def _build_registry() -> "dict[str, _ClassEntry]":
                     evens = _even_popcounts_below(k)
                     total += evens if (spec.residue == 1) == (code == 2) else k - evens
                     layers += 1
-            bound = sum(count_error_bound(n_max, spec) for spec in two_six_specs)
-            return total, bound / 2 + Fraction(layers, 2)
+            # Half the union's bound plus 1/2 per layer, over 2 * base.
+            return total, Fraction(bound_numerator(n_max) + layers * base, 2 * base)
         return exact
 
     for code in (2, 6):

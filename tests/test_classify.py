@@ -1,12 +1,14 @@
 import os
 import subprocess
 import sys
+from dataclasses import FrozenInstanceError
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from motzkinlab import classify
 from motzkinlab.classify import (
     DIV5_FORM_SPECS,
     MOD8_CLASS_SPECS,
@@ -305,9 +307,9 @@ class TestInvariantsUnderOptimize:
     """The disjointness checks must survive ``python -O``, which strips asserts."""
 
     @pytest.mark.parametrize("patch, call, message", [
-        ("classify.factor_out_base = lambda n, base: (1, 1)",
+        ("classify._split = lambda x, base: (1, 1)",
          "classify.classify_mod8(5)", "two (eps, delta) witnesses for n=5"),
-        ("classify.is_in_set = lambda n, spec: (0, 1)",
+        ("classify._witness = lambda spec, unit, exponent: (0, 1)",
          "classify.classify_div5(5)", "two divisibility forms for n=5"),
         ("bulk.factor_out = lambda values, base: (np.ones_like(values),) * 2",
          "bulk.mod8_kind_codes(np.arange(8))", "overlapping (eps, delta) witnesses"),
@@ -331,3 +333,85 @@ class TestInvariantsUnderOptimize:
                                 capture_output=True, text=True, timeout=60)
         assert result.returncode == 0, result.stderr
         assert result.stdout.strip() == message
+
+
+def mod8_reference(n):
+    """classify_mod8 rebuilt from MOD8_CLASS_SPECS membership and the one-bit rule."""
+    hits = [(key, witness) for key, spec in MOD8_CLASS_SPECS.items()
+            if (witness := is_in_set(n, spec)) is not None]
+    if not hits:
+        return Mod8Classification(Mod8Kind.ODD)
+    [((eps, delta), (i, j))] = hits
+    witness = Mod8Witness(eps, delta, i, j)
+    if (eps, delta) in ((1, 1), (3, 2)):
+        return Mod8Classification(Mod8Kind.RESIDUE_4, witness)
+    ones = (4 * i + eps - 1).bit_count()
+    return Mod8Classification(Mod8Kind.RESIDUE_6 if ones % 2 else Mod8Kind.RESIDUE_2,
+                              witness, ones)
+
+
+def div5_reference(n):
+    """classify_div5 rebuilt from DIV5_FORM_SPECS membership."""
+    hits = [(form, spec, witness) for form, spec in enumerate(DIV5_FORM_SPECS, start=1)
+            if (witness := is_in_set(n, spec)) is not None]
+    if not hits:
+        return Div5Classification()
+    [(form, spec, (i, j))] = hits
+    return Div5Classification(form, Div5Witness(i, j + spec.exp_offset))
+
+
+def family_boundaries(limit=10**31):
+    """Indices at and around the edges of every witness family, below ``limit``."""
+    edges = set()
+    for base, scale, shifts in ((4, 1, (1, 2, 3)), (5, 2, (1,)), (5, 3, (2,)),
+                                (25, 1, (2,)), (25, 4, (1,)), (3, 1, (-2, -1, 1, 2))):
+        power = 1
+        while scale * power < limit:
+            for shift in shifts:
+                edges.update(scale * power - shift + d for d in (-1, 0, 1))
+            power *= base
+    return sorted(n for n in edges if n >= 0)
+
+
+class TestAgainstSpecReference:
+    """The fast classifiers equal their definitions over the spec tables."""
+
+    def test_contiguous(self):
+        for n in range(20000):
+            assert classify_mod8(n) == mod8_reference(n), n
+            assert classify_div5(n) == div5_reference(n), n
+
+    def test_family_boundaries(self):
+        edges = family_boundaries()
+        assert len(edges) > 500
+        for n in edges:
+            assert classify_mod8(n) == mod8_reference(n), n
+            assert classify_div5(n) == div5_reference(n), n
+
+    @given(st.integers(min_value=0, max_value=10**30))
+    @settings(max_examples=500)
+    def test_random(self, n):
+        assert classify_mod8(n) == mod8_reference(n)
+        assert classify_div5(n) == div5_reference(n)
+
+
+class TestSharedNegativeResults:
+    """Odd and not-divisible outcomes are shared frozen instances."""
+
+    def test_equal_fresh_instances(self):
+        for n in (0, 1, 4, 5, 10**30):
+            assert classify_mod8(n) == Mod8Classification(Mod8Kind.ODD), n
+        for n in (0, 1, 2, 3, 10**30):
+            assert classify_div5(n) == Div5Classification(), n
+
+    @pytest.mark.parametrize("outcome, field, value", [
+        (classify_mod8(4), "kind", Mod8Kind.RESIDUE_4),
+        (classify_mod8(4), "witness", Mod8Witness(1, 1, 0, 0)),
+        (classify_div5(0), "form", 2),
+        (classify_div5(0), "witness", Div5Witness(0, 1)),
+    ], ids=["mod8_kind", "mod8_witness", "div5_form", "div5_witness"])
+    def test_assignment_rejected(self, outcome, field, value):
+        with pytest.raises(FrozenInstanceError):
+            setattr(outcome, field, value)
+        assert classify_mod8(4) == Mod8Classification(Mod8Kind.ODD)
+        assert classify_div5(0) == Div5Classification()

@@ -430,6 +430,21 @@ class TestIntegerArguments:
         assert err.splitlines()[-1] == (f"motzkinlab {argv[0]}: error: argument {name}: "
                                         f"must have at most {limit} digits, got {digits}")
 
+    @pytest.mark.parametrize("argv, name", [
+        (("density", "even", "-N", "{n}x"), "-N/--horizon"),
+        (("classify", "1..{n}x", "--mod", "8"), "range"),
+        (("verify", "x{n}", "--mod", "8"), "count"),
+    ])
+    def test_past_the_limit_with_a_stray_character(self, capsys, argv, name):
+        limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+        if not limit:
+            pytest.skip("this interpreter parses ints of any length")
+        code, out, err = run(capsys, *(arg.format(n="7" * (limit + 1)) for arg in argv))
+        assert (code, out) == (2, "")
+        assert len(err) < 300
+        assert err.splitlines()[-1] == (f"motzkinlab {argv[0]}: error: argument {name}: "
+                                        f"must have at most {limit} digits, got {limit + 2}")
+
     @pytest.mark.parametrize("argv, message", [
         (("classify", "x", "--mod", "8"), "argument range: invalid _range_type value: 'x'"),
         (("classify", "1..x", "--mod", "8"), "argument range: invalid _range_type value: '1..x'"),
