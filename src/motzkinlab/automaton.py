@@ -24,14 +24,17 @@ Both raise :class:`StateCapError`.  A modulus is served when it is below
 the Chinese remainder theorem.
 
 ``motzkin_mod_at(n, m)`` answers one index in O(log n) table steps.
-``motzkin_mod_array(m, count)`` gives M(0), ..., M(count − 1) mod m as an
-int64 array, with one state array and one gather per digit.
+``motzkin_mod_indices(m, indices)`` answers an int64 index array, with one
+state array and one gather per digit of the largest index;
+``motzkin_mod_array(m, count)`` runs it on 0, ..., count − 1.
 """
 
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+
+from .bulk import checked_indices
 
 # Transition-table entries (states × p) any one prime power may use.  It
 # admits every prime power below 64 except 32 and 49.  The start states Q·P^r
@@ -68,10 +71,10 @@ class _Automaton:
             state = int(self.table[state, digit])
         return int(self.output[state])
 
-    def residues(self, count: int) -> np.ndarray:
-        q, r = np.divmod(np.arange(count, dtype=np.int64), self.shift)
+    def residues(self, indices: np.ndarray) -> np.ndarray:
+        q, r = np.divmod(indices, self.shift)
         states = self.start[r]
-        top = max(count - 1, 0) // self.shift
+        top = int(q.max()) if q.size else 0
         while top:
             top //= self.base
             q, digits = np.divmod(q, self.base)
@@ -196,13 +199,20 @@ def motzkin_mod_at(n: int, modulus: int) -> int:
     return int(_by_crt(modulus, lambda automaton: automaton.residue(n)))
 
 
-def motzkin_mod_array(modulus: int, count: int) -> np.ndarray:
-    """M(0), ..., M(count - 1) mod ``modulus`` as an int64 array.
+def motzkin_mod_indices(modulus: int, indices) -> np.ndarray:
+    """M(n) mod ``modulus`` for every n in ``indices``, as an int64 array.
 
-    O(count log count) work; raises :class:`StateCapError` when the modulus
-    is over the cap.
+    The indices are checked as :func:`motzkinlab.bulk.checked_indices`
+    checks them.  O(len(indices) log max(indices)) work; raises
+    :class:`StateCapError` when the modulus is over the cap.
     """
+    arr = checked_indices(indices)
+    residues = _by_crt(modulus, lambda automaton: automaton.residues(arr))
+    return np.asarray(residues, dtype=np.int64)
+
+
+def motzkin_mod_array(modulus: int, count: int) -> np.ndarray:
+    """M(0), ..., M(count - 1) mod ``modulus`` as an int64 array."""
     if count < 0:
         raise ValueError(f"count must be non-negative, got {count}")
-    residues = _by_crt(modulus, lambda automaton: automaton.residues(count))
-    return np.asarray(residues, dtype=np.int64)
+    return motzkin_mod_indices(modulus, np.arange(count, dtype=np.int64))

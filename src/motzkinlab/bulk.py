@@ -1,12 +1,14 @@
-"""Vectorized counterparts of the scalar digit classifiers.
+"""Vectorized counterparts of the scalar set tests.
 
 These kernels stream int64 index arrays so that density sweeps over tens of
-millions of indices stay fast.  Each one mirrors a function in
-:mod:`motzkinlab.classify`; ``classify_div5``'s vector form is
-:func:`in_set_masks` over ``DIV5_FORM_SPECS``.  The test suite holds
-them to exact agreement.
+millions of indices stay fast.  :func:`in_set_masks` mirrors
+:func:`motzkinlab.classify.is_in_set`, so ``classify_div5``'s vector form is
+its masks over ``DIV5_FORM_SPECS``, and :func:`t01_mask` mirrors
+:func:`motzkinlab.classify.is_t01`.  The residues M(n) mod m of an index
+array come from :func:`motzkinlab.automaton.motzkin_mod_indices`.  The test
+suite holds the kernels to the scalar classifiers, and those to the residues.
 Indices must be integers (any integer dtype), non-negative, and leave
-headroom for n + 2 in int64.
+headroom for n + 2 in int64; :func:`checked_indices` enforces that.
 """
 
 import numpy as np
@@ -15,10 +17,9 @@ from .classify import SetSpec
 
 MAX_INDEX = int(np.iinfo(np.int64).max) - 2
 
-ODD_CODE = 1  # mod8_kind_codes marker for "M(n) is odd"
 
-
-def _checked(values) -> np.ndarray:
+def checked_indices(values) -> np.ndarray:
+    """``values`` as an int64 array; a ValueError unless each is in [0, MAX_INDEX]."""
     arr = np.asarray(values)
     if arr.size:
         if arr.dtype.kind not in "iu":  # floats would truncate, huge ints arrive as objects
@@ -53,7 +54,7 @@ def in_set_masks(values, specs) -> "list[np.ndarray]":
 
     Specs that share a (base, shift) pair share one :func:`factor_out` pass.
     """
-    arr = _checked(values)
+    arr = checked_indices(values)
     top = int(arr.max()) if arr.size else 0
     factored = {}
     masks = []
@@ -79,39 +80,11 @@ def in_set_mask(values, spec: SetSpec) -> np.ndarray:
     return in_set_masks(values, [spec])[0]
 
 
-def mod8_kind_codes(values) -> np.ndarray:
-    """Codes 1 (odd), 2, 4 or 6 (the exact even residue of M(n) mod 8)."""
-    arr = _checked(values)
-    out = np.full(arr.shape, ODD_CODE, dtype=np.int64)
-    claimed = np.zeros(arr.shape, dtype=bool)
-    for delta in (1, 2):
-        units, exponents = factor_out(arr + delta, 4)
-        hit = (exponents >= 1) & (units % 2 == 1)
-        if (hit & claimed).any():
-            raise AssertionError("overlapping (eps, delta) witnesses")
-        claimed |= hit
-        eps = units & 3
-        gives_four = eps == (1 if delta == 1 else 3)
-        ones = np.bitwise_count((units - 1).astype(np.uint64)).astype(np.int64)
-        code = np.where(gives_four, 4, np.where(ones % 2 == 0, 2, 6))
-        out = np.where(hit, code, out)
-    return out
-
-
 def t01_mask(values) -> np.ndarray:
     """True where every base-3 digit is 0 or 1."""
-    rest = _checked(values).copy()
+    rest = checked_indices(values).copy()
     ok = np.ones(rest.shape, dtype=bool)
     while rest.any():
         ok &= rest % 3 != 2
         rest //= 3
     return ok
-
-
-def mod3_values(values) -> np.ndarray:
-    """M(n) mod 3 for every index, as an array over {0, 1, 2}."""
-    arr = _checked(values)
-    rem = arr % 3
-    third = (arr + (3 - rem) % 3) // 3  # n/3, (n+2)/3 or (n+1)/3 by residue
-    hit = t01_mask(third)
-    return np.where(hit, np.where(rem == 2, 2, 1), 0)

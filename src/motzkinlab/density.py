@@ -15,14 +15,14 @@ other so they can cross-check:
   identity turns the sum into popcounts: a fixed number of big-int
   operations.  Every other base and step walks the quotients in
   O(log_b N) steps that divide by a small integer,
-* counts obtained by streaming every index through the digit kernels
-  (:func:`count_class_in_range`), the O(N) cross-check on the exact
-  counters, plus the one route that really computes Motzkin residues
-  (:func:`empirical_residue_distribution`).
+* counts obtained by streaming every index through the digit kernels or
+  the residue automaton (:func:`count_class_in_range`), the O(N)
+  cross-check on the exact counters, plus residue counts from the
+  modular stream (:func:`empirical_residue_distribution`).
 
 Each class label has one entry in an ordered registry that holds its
-limit, its per-chunk kernel count, and one call that returns its exact
-count together with its error bound; the registry labels are the only
+limit, its per-chunk count, and one call that returns its exact count
+together with its error bound; the registry labels are the only
 selectors.  Classes that are disjoint unions of :class:`SetSpec` families
 derive all three by summing over their specs.
 """
@@ -35,8 +35,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import bulk
-from .classify import DIV5_FORM_SPECS, MOD8_CLASS_SPECS, SetSpec
+from . import automaton, bulk
+from .classify import DIV5_FORM_SPECS, MOD8_CLASS_SPECS, SetSpec, is_t01
 from .engines import motzkin_mod_stream
 
 _CHUNK = 1 << 20
@@ -204,8 +204,9 @@ def _t01_ceiling(n_max: int) -> int:
 class _ClassEntry(NamedTuple):
     """Everything the density lab knows about one residue class.
 
-    ``count`` counts the members in one int64 chunk of indices through the
-    :mod:`motzkinlab.bulk` kernels, looked up on ``bulk`` at call time;
+    ``count`` counts the members in one int64 chunk of indices through a
+    :mod:`motzkinlab.bulk` kernel, or through the automaton's residues for
+    an exact residue class, looked up on the module at call time;
     ``exact(n_max)`` is one call for (members in [0, n_max], a bound on
     |that count - n_max * limit|), in O(log n_max) steps and for any
     n_max >= -1.  ``count`` shares no code with ``exact``, so the sweep
@@ -254,9 +255,10 @@ def _spec_union(specs) -> _ClassEntry:
     return _ClassEntry(limit=sum(map(set_density, specs), Fraction(0)), count=count, exact=exact)
 
 
-def _coded(kernel: str, code) -> "Callable[[np.ndarray], int]":
-    """Chunk counter for the indices where ``bulk.<kernel>`` yields ``code``."""
-    return lambda arr: int(np.count_nonzero(getattr(bulk, kernel)(arr) == code))
+def _residue_count(modulus: int, value: int) -> "Callable[[np.ndarray], int]":
+    """Chunk counter for the indices n with M(n) = value mod ``modulus``."""
+    return lambda arr: int(np.count_nonzero(
+        automaton.motzkin_mod_indices(modulus, arr) == value))
 
 
 def _even_popcounts_below(k: int) -> int:
@@ -272,10 +274,15 @@ def _mod3_counts(n_max: int) -> "tuple[int, int, int]":
 
     M(3k) = 1 and M(3k + 1) = 1 mod 3 where k, respectively k + 1, is a
     zero-one number, M(3k + 2) = 2 where k + 1 is, and M(n) = 0 otherwise.
-    Floor division keeps every term right down to n_max = -1.
+    With n_max = 3k + s, the counts need T(k) and T(k + 1) zero-one numbers,
+    and T(k + 1) = T(k) + [k + 1 is zero-one]: one digit walk.  Floor
+    division keeps every term right down to n_max = -1.
     """
-    one = count_t01_upto(n_max // 3) + count_t01_upto((n_max - 1) // 3 + 1) - 1
-    two = count_t01_upto((n_max - 2) // 3 + 1) - 1
+    k, s = divmod(n_max, 3)
+    upto_k = count_t01_upto(k)
+    upto_next = upto_k + is_t01(k + 1)
+    one = upto_k + (upto_next if s else upto_k) - 1
+    two = (upto_next if s == 2 else upto_k) - 1
     return n_max + 1 - one - two, one, two
 
 
@@ -316,21 +323,22 @@ def _build_registry() -> "dict[str, _ClassEntry]":
 
     for code in (2, 6):
         registry[f"mod8={code}"] = _ClassEntry(
-            two_or_six.limit / 2, _coded("mod8_kind_codes", code), half_exact(code))
+            two_or_six.limit / 2, _residue_count(8, code), half_exact(code))
     registry["mod4=2"] = two_or_six
     # M(n) mod 3 is nonzero only where n // 3 or n // 3 + 1 is a zero-one
     # number: at most two zero-one counts per nonzero residue, and for
     # residue 0 both of those plus one.
     for value in range(3):
         registry[f"mod3={value}"] = _ClassEntry(
-            Fraction(1 if value == 0 else 0), _coded("mod3_values", value),
+            Fraction(1 if value == 0 else 0), _residue_count(3, value),
             lambda n_max, value=value: (_mod3_counts(n_max)[value],
                                         (3 if value == 0 else 2) * _t01_ceiling(n_max)))
     registry["div5"] = _spec_union(DIV5_FORM_SPECS)
     for form, spec in enumerate(DIV5_FORM_SPECS, start=1):
         registry[f"div5_form{form}"] = _spec_union([spec])
-    registry["t01"] = _ClassEntry(Fraction(0), _coded("t01_mask", True),
-                                  lambda n_max: (count_t01_upto(n_max), _t01_ceiling(n_max)))
+    registry["t01"] = _ClassEntry(
+        Fraction(0), lambda arr: int(np.count_nonzero(bulk.t01_mask(arr))),
+        lambda n_max: (count_t01_upto(n_max), _t01_ceiling(n_max)))
     return registry
 
 
@@ -357,10 +365,11 @@ def density_limit(selector) -> Fraction:
 
 
 def count_class_in_range(selector, lo: int, hi: int) -> int:
-    """Class members with lo <= n < hi, streamed through the digit kernels.
+    """Class members with lo <= n < hi, streamed through the class's chunk count.
 
     O(hi - lo) and capped at ``bulk.MAX_INDEX``: the independent cross-check
-    on the exact counters that :func:`empirical_density` reports.
+    on the exact counters that :func:`empirical_density` reports.  It counts
+    ``mod8=2``, ``mod8=6`` and ``mod3=*`` from M(n) mod m itself.
     """
     if not 0 <= lo <= hi:
         raise ValueError(f"need 0 <= lo <= hi, got [{lo}, {hi})")
@@ -423,8 +432,8 @@ def empirical_residue_distribution(modulus: int,
                                    horizon: int) -> "list[tuple[int, int, float]]":
     """(residue, count, ratio) for M(n) mod modulus over n < horizon.
 
-    Unlike the digit-kernel paths this really computes Motzkin residues, via
-    the modular stream, so the engine ceiling applies.
+    The residues come from the modular stream, so the engine ceiling
+    applies.
     """
     stream = motzkin_mod_stream(modulus, horizon)
     counts = np.bincount(stream.values, minlength=modulus).tolist()

@@ -128,10 +128,10 @@ def test_criterion_4_closed_form_densities():
 
 def test_criterion_5_finite_horizon_convergence():
     selectors = ("even", "mod8=4", "mod8=2", "mod8=6", "mod4=2", "div5")
-    with criterion(5, "digit-kernel densities at N = 10**7 within 1e-4 of the limits"):
+    with criterion(5, "swept densities at N = 10**7 within 1e-4 of the limits"):
         for selector in selectors:
             report = empirical_density(selector, 10**7)
-            # The report counts exactly; the digit kernels must see the same.
+            # The report counts exactly; the array sweep must see the same.
             assert count_class_in_range(selector, 0, 10**7) == report.observed_count, selector
             assert report.abs_discrepancy <= 1e-4, (
                 f"{selector}: |{report.observed_ratio} - {report.limit_value}| "

@@ -10,7 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from motzkinlab import automaton
-from motzkinlab.automaton import StateCapError, motzkin_mod_array, motzkin_mod_at
+from motzkinlab.automaton import (
+    StateCapError,
+    motzkin_mod_array,
+    motzkin_mod_at,
+    motzkin_mod_indices,
+)
+from motzkinlab.bulk import MAX_INDEX
 from motzkinlab.classify import classify_div5, classify_mod3, classify_mod8
 from motzkinlab.engines import iter_motzkin_exact
 
@@ -41,6 +47,9 @@ class TestStream:
 
     def test_short_streams(self):
         assert motzkin_mod_array(8, 0).tolist() == []
+        for empty in (np.array([], dtype=np.int64), []):
+            residues = motzkin_mod_indices(8, empty)
+            assert residues.dtype == np.int64 and residues.tolist() == []
         assert motzkin_mod_array(8, 1).tolist() == [1]
         assert motzkin_mod_array(9, 12).tolist() == [1, 1, 2, 4, 0, 3, 6, 1, 8, 7, 1, 2]
 
@@ -89,6 +98,27 @@ class TestPointQueries:
             motzkin_mod_array(8, -1)
 
 
+class TestIndexArrays:
+    @pytest.mark.parametrize("modulus", (2, 3, 4, 5, 8, 9, 25, 72))
+    @settings(deadline=None, max_examples=25)
+    @given(st.lists(st.one_of(
+        st.integers(min_value=0, max_value=1000),
+        st.integers(min_value=0, max_value=MAX_INDEX),
+        st.integers(min_value=MAX_INDEX - 10**6, max_value=MAX_INDEX),
+    ), max_size=40))
+    def test_matches_point_queries(self, modulus, indices):
+        residues = motzkin_mod_indices(modulus, np.array(indices, dtype=np.int64))
+        assert residues.dtype == np.int64
+        assert residues.tolist() == [motzkin_mod_at(n, modulus) for n in indices]
+
+    @pytest.mark.parametrize("indices", [
+        [-1], np.array([5, -3], dtype=np.int64), [1.0], [True], np.array([2], dtype=object),
+    ])
+    def test_bad_indices_rejected(self, indices):
+        with pytest.raises(ValueError):
+            motzkin_mod_indices(8, indices)
+
+
 class TestStateCap:
     @pytest.mark.parametrize("modulus", [
         pytest.param(10**9 + 7, id="1e9+7"),  # a prime: a table with p columns
@@ -108,6 +138,8 @@ class TestStateCap:
             motzkin_mod_at(HUGE, modulus)
         with pytest.raises(StateCapError):
             motzkin_mod_array(modulus, 10)
+        with pytest.raises(StateCapError):
+            motzkin_mod_indices(modulus, np.arange(10, dtype=np.int64))
         assert time.perf_counter() - started < 1.0
         assert issubclass(StateCapError, ValueError)
 

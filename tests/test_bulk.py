@@ -4,24 +4,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from motzkinlab import bulk
+from motzkinlab.automaton import motzkin_mod_indices
+from motzkinlab.checks import SUPPORTED_MODULI, predicted_residue, prediction_matches
 from motzkinlab.classify import (
     DIV5_FORM_SPECS,
     MOD8_CLASS_SPECS,
-    Mod8Kind,
     classify_div5,
-    classify_mod3,
-    classify_mod8,
     factor_out_base,
     is_in_set,
     is_t01,
 )
 
-KIND_TO_CODE = {
-    Mod8Kind.ODD: bulk.ODD_CODE,
-    Mod8Kind.RESIDUE_2: 2,
-    Mod8Kind.RESIDUE_4: 4,
-    Mod8Kind.RESIDUE_6: 6,
-}
+# The kernels the validation cases run, and the spec of the mask kernel.
+SPEC = MOD8_CLASS_SPECS[(1, 2)]
+KERNELS = (bulk.t01_mask, lambda values: bulk.in_set_mask(values, SPEC))
 
 
 def window(start: int, length: int) -> np.ndarray:
@@ -36,16 +32,15 @@ def assert_masks_name_div5_form(masks, offset: int, n: int) -> None:
 
 
 def assert_kernels_match_scalars(indices) -> None:
-    """Every kernel, element by element, against the scalar classifiers."""
+    """Every kernel against the scalar classifiers, and those against the automaton."""
     arr = np.array(indices, dtype=np.int64)
-    codes = bulk.mod8_kind_codes(arr)
-    values3 = bulk.mod3_values(arr)
+    residues = {m: motzkin_mod_indices(m, arr).tolist() for m in SUPPORTED_MODULI}
     t01 = bulk.t01_mask(arr)
     specs = list(MOD8_CLASS_SPECS.values()) + list(DIV5_FORM_SPECS)
     masks = bulk.in_set_masks(arr, specs)  # specs sharing (base, shift) share one factoring
     for offset, n in enumerate(indices):
-        assert codes[offset] == KIND_TO_CODE[classify_mod8(n).kind]
-        assert values3[offset] == classify_mod3(n)
+        for m in SUPPORTED_MODULI:
+            assert prediction_matches(m, predicted_residue(m, n), residues[m][offset]), (m, n)
         assert_masks_name_div5_form(masks[len(MOD8_CLASS_SPECS):], offset, n)
         assert t01[offset] == is_t01(n)
         for spec, mask in zip(specs, masks):
@@ -67,16 +62,6 @@ class TestFactorOut:
 
 
 class TestKernelsMatchScalars:
-    def test_mod8_prefix(self):
-        codes = bulk.mod8_kind_codes(window(0, 4000))
-        for n in range(4000):
-            assert codes[n] == KIND_TO_CODE[classify_mod8(n).kind]
-
-    def test_mod3_prefix(self):
-        values = bulk.mod3_values(window(0, 4000))
-        for n in range(4000):
-            assert values[n] == classify_mod3(n)
-
     def test_div5_prefix(self):
         arr = window(0, 4000)
         masks = [bulk.in_set_mask(arr, spec) for spec in DIV5_FORM_SPECS]
@@ -123,24 +108,27 @@ class TestKernelsMatchScalars:
 
 class TestValidation:
     def test_negative_indices_rejected(self):
-        with pytest.raises(ValueError):
-            bulk.mod8_kind_codes(np.array([-1, 0, 1], dtype=np.int64))
+        for kernel in KERNELS:
+            with pytest.raises(ValueError):
+                kernel(np.array([-1, 0, 1], dtype=np.int64))
 
     def test_huge_indices_rejected(self):
-        with pytest.raises(ValueError):
-            bulk.mod3_values(np.array([bulk.MAX_INDEX + 1], dtype=np.int64))
+        for kernel in KERNELS:
+            with pytest.raises(ValueError):
+                kernel(np.array([bulk.MAX_INDEX + 1], dtype=np.int64))
 
     def test_empty_input_ok(self):
-        assert bulk.mod8_kind_codes(np.array([], dtype=np.int64)).size == 0
-        assert bulk.t01_mask(np.array([], dtype=np.int64)).size == 0
-        assert bulk.mod3_values([]).dtype == np.int64
+        for kernel in KERNELS:
+            assert kernel(np.array([], dtype=np.int64)).size == 0
+            assert kernel([]).size == 0
+        assert bulk.checked_indices([]).dtype == np.int64
 
     @pytest.mark.parametrize("values", [
         [1.9], [2.7], np.array([2.0]), [True], np.array([1, 2], dtype=object),
     ])
     def test_non_integer_dtypes_rejected(self, values):
         # Truncating a float would classify [1.9] as index 1, a zero-one number.
-        for kernel in (bulk.t01_mask, bulk.mod8_kind_codes, bulk.mod3_values):
+        for kernel in KERNELS:
             with pytest.raises(ValueError, match="integer dtype"):
                 kernel(values)
 
@@ -150,15 +138,17 @@ class TestValidation:
         np.array([bulk.MAX_INDEX + 1], dtype=object),
     ])
     def test_out_of_range_values_rejected_whatever_the_dtype(self, values):
-        with pytest.raises(ValueError):
-            bulk.mod3_values(values)
+        for kernel in KERNELS:
+            with pytest.raises(ValueError):
+                kernel(values)
 
     def test_other_integer_dtypes_accepted(self):
-        expected = bulk.mod8_kind_codes(np.arange(64, dtype=np.int64))
-        for dtype in (np.uint64, np.int32, np.uint8):
-            assert np.array_equal(bulk.mod8_kind_codes(np.arange(64, dtype=dtype)), expected)
-        assert np.array_equal(bulk.mod8_kind_codes(list(range(64))), expected)
+        for kernel in KERNELS:
+            expected = kernel(np.arange(64, dtype=np.int64))
+            for dtype in (np.uint64, np.int32, np.uint8):
+                assert np.array_equal(kernel(np.arange(64, dtype=dtype)), expected)
+            assert np.array_equal(kernel(list(range(64))), expected)
 
     def test_int64_input_is_not_copied(self):
         arr = np.arange(10, dtype=np.int64)
-        assert bulk._checked(arr) is arr
+        assert bulk.checked_indices(arr) is arr

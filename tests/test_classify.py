@@ -311,12 +311,10 @@ class TestInvariantsUnderOptimize:
          "classify.classify_mod8(5)", "two (eps, delta) witnesses for n=5"),
         ("classify._witness = lambda spec, unit, exponent: (0, 1)",
          "classify.classify_div5(5)", "two divisibility forms for n=5"),
-        ("bulk.factor_out = lambda values, base: (np.ones_like(values),) * 2",
-         "bulk.mod8_kind_codes(np.arange(8))", "overlapping (eps, delta) witnesses"),
         ("bulk.in_set_masks = lambda values, specs: "
          "[np.ones(len(values), dtype=bool)] * len(specs)",
          "density.count_class_in_range('even', 0, 8)", "overlapping families in a spec union"),
-    ], ids=["classify_mod8", "classify_div5", "mod8_kind_codes", "spec_union"])
+    ], ids=["classify_mod8", "classify_div5", "spec_union"])
     def test_two_witnesses_raise(self, patch, call, message):
         script = "\n".join([
             "import numpy as np",
