@@ -1,12 +1,13 @@
 """Vectorized counterparts of the scalar set tests.
 
 These kernels stream int64 index arrays so that density sweeps over tens of
-millions of indices stay fast.  :func:`in_set_masks` mirrors
-:func:`motzkinlab.classify.is_in_set`, so ``classify_div5``'s vector form is
-its masks over ``DIV5_FORM_SPECS``, and :func:`t01_mask` mirrors
-:func:`motzkinlab.classify.is_t01`.  The residues M(n) mod m of an index
-array come from :func:`motzkinlab.automaton.motzkin_mod_indices`.  The test
-suite holds the kernels to the scalar classifiers, and those to the residues.
+millions of indices stay fast.  They test index families, not residue
+classes: :func:`in_set_mask` mirrors :func:`motzkinlab.classify.is_in_set`
+for one ``SetSpec`` family (an ``eps*_delta*`` or ``div5_form*`` label), and
+:func:`t01_mask` mirrors :func:`motzkinlab.classify.is_t01`.  Every residue
+class, M(n) = v mod m, is swept from
+:func:`motzkinlab.automaton.motzkin_mod_indices` instead.  The test suite
+holds the kernels to the scalar classifiers, and those to the residues.
 Indices must be integers (any integer dtype), non-negative, and leave
 headroom for n + 2 in int64; :func:`checked_indices` enforces that.
 """
@@ -49,35 +50,18 @@ def factor_out(values: np.ndarray, base: int) -> "tuple[np.ndarray, np.ndarray]"
     return units, exponents
 
 
-def in_set_masks(values, specs) -> "list[np.ndarray]":
-    """One boolean mask per spec, matching classify.is_in_set.
-
-    Specs that share a (base, shift) pair share one :func:`factor_out` pass.
-    """
-    arr = checked_indices(values)
-    top = int(arr.max()) if arr.size else 0
-    factored = {}
-    masks = []
-    for spec in specs:
-        key = spec.base, spec.shift
-        if key not in factored:
-            if arr.size and spec.shift < 0 and top - spec.shift > MAX_INDEX + 2:
-                raise ValueError("shifted indices would overflow int64")
-            shifted = arr - spec.shift
-            positive = shifted > 0
-            factored[key] = (positive, *factor_out(np.where(positive, shifted, 1), spec.base))
-        positive, units, exponents = factored[key]
-        ok = positive.copy()
-        ok &= units % spec.base == spec.residue
-        ok &= exponents >= spec.exp_step * spec.min_j + spec.exp_offset
-        ok &= (exponents - spec.exp_offset) % spec.exp_step == 0
-        masks.append(ok)
-    return masks
-
-
 def in_set_mask(values, spec: SetSpec) -> np.ndarray:
     """Boolean mask of membership in ``spec``, matching classify.is_in_set."""
-    return in_set_masks(values, [spec])[0]
+    arr = checked_indices(values)
+    if arr.size and spec.shift < 0 and int(arr.max()) - spec.shift > MAX_INDEX + 2:
+        raise ValueError("shifted indices would overflow int64")
+    shifted = arr - spec.shift
+    ok = shifted > 0
+    units, exponents = factor_out(np.where(ok, shifted, 1), spec.base)
+    ok &= units % spec.base == spec.residue
+    ok &= exponents >= spec.first_exponent
+    ok &= (exponents - spec.exp_offset) % spec.exp_step == 0
+    return ok
 
 
 def t01_mask(values) -> np.ndarray:

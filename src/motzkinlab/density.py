@@ -15,16 +15,17 @@ other so they can cross-check:
   identity turns the sum into popcounts: a fixed number of big-int
   operations.  Every other base and step walks the quotients in
   O(log_b N) steps that divide by a small integer,
-* counts obtained by streaming every index through the digit kernels or
-  the residue automaton (:func:`count_class_in_range`), the O(N)
-  cross-check on the exact counters, plus residue counts from the
-  modular stream (:func:`empirical_residue_distribution`).
+* counts obtained by streaming every index (:func:`count_class_in_range`),
+  the O(N) cross-check on the exact counters: each residue class from
+  M(n) mod m itself through the residue automaton, each index family
+  through its digit kernel; plus residue counts from the modular stream
+  (:func:`empirical_residue_distribution`).
 
 Each class label has one entry in an ordered registry that holds its
 limit, its per-chunk count, and one call that returns its exact count
 together with its error bound; the registry labels are the only
-selectors.  Classes that are disjoint unions of :class:`SetSpec` families
-derive all three by summing over their specs.
+selectors.  Disjoint unions of :class:`SetSpec` families sum their limit and
+exact count over their specs; a residue class sweeps M(n) mod m instead.
 """
 
 import math
@@ -61,13 +62,7 @@ def closed_density(base: int, exp_step: int, exp_offset: int,
 def set_density(spec: SetSpec) -> Fraction:
     """Closed-form density of the members of ``spec``."""
     base, step = spec.base, spec.exp_step
-    start = spec.exp_offset + step * spec.min_j
-    return Fraction(base ** step, base ** (start + 1) * (base ** step - 1))
-
-
-def _first_exponent(spec: SetSpec) -> int:
-    """The smallest exponent e of a layer (base*i + residue) * base**e of ``spec``."""
-    return spec.exp_step * spec.min_j + spec.exp_offset
+    return Fraction(base ** step, base ** (spec.first_exponent + 1) * (base ** step - 1))
 
 
 def _layer_sizes(bound: int, spec: SetSpec):
@@ -80,7 +75,7 @@ def _layer_sizes(bound: int, spec: SetSpec):
     stops at the first zero quotient, so it takes O(log_b N) small-divisor
     steps and never forms a big power.
     """
-    q = (bound - spec.shift) // spec.base ** _first_exponent(spec)
+    q = (bound - spec.shift) // spec.base ** spec.first_exponent
     step = spec.base ** spec.exp_step
     while q > 0:
         yield (q - spec.residue) // spec.base + 1
@@ -105,7 +100,7 @@ def _count_members_at_most(bound: int, spec: SetSpec) -> int:
     shifted = bound - spec.shift
     if shifted <= 0:
         return 0
-    y = shifted >> 2 * _first_exponent(spec)
+    y = shifted >> 2 * spec.first_exponent
     low = ((1 << ((y.bit_length() + 1) & ~1)) - 1) // 3
     high = low << 1
     digit_sum = (y & low).bit_count() + 2 * (y & high).bit_count()
@@ -166,7 +161,7 @@ def _bound_numerator(n_max: int, spec: SetSpec) -> int:
     # Largest t with exp_offset + 1 + exp_step*t <= D, floored at -1.
     top = _top_exponent(max(n_max - spec.shift, 1), spec.base)
     trunc = max(-1, (top - spec.exp_offset - 1) // spec.exp_step)
-    smallest = spec.base ** _first_exponent(spec)
+    smallest = spec.base ** spec.first_exponent
     whole = 2 * (trunc + 2) + smallest + max(0, abs(spec.shift) + 1 - smallest)
     return whole * spec.base + spec.residue * (trunc + 1)
 
@@ -204,9 +199,10 @@ def _t01_ceiling(n_max: int) -> int:
 class _ClassEntry(NamedTuple):
     """Everything the density lab knows about one residue class.
 
-    ``count`` counts the members in one int64 chunk of indices through a
-    :mod:`motzkinlab.bulk` kernel, or through the automaton's residues for
-    an exact residue class, looked up on the module at call time;
+    ``count`` counts the members in one int64 chunk of indices, looked up
+    on the module at call time: from the automaton's residues M(n) mod m
+    for the nine residue classes, through a :mod:`motzkinlab.bulk` kernel
+    for the index families (``eps*_delta*``, ``div5_form*``, ``t01``);
     ``exact(n_max)`` is one call for (members in [0, n_max], a bound on
     |that count - n_max * limit|), in O(log n_max) steps and for any
     n_max >= -1.  ``count`` shares no code with ``exact``, so the sweep
@@ -230,29 +226,25 @@ def _union_bound(specs) -> "tuple[int, Callable[[int], int]]":
     return base, lambda n_max: sum(_bound_numerator(n_max, spec) for spec in specs)
 
 
-def _spec_union(specs) -> _ClassEntry:
-    """Entry for a disjoint union of SetSpec families: limits, bounds and counts add.
+def _spec_union(specs, count: "Callable[[np.ndarray], int]") -> _ClassEntry:
+    """Entry for a disjoint union of SetSpec families, with the chunk count ``count``.
 
-    A chunk's count sums the spec masks of ``bulk.in_set_masks``; with several
-    specs, a member of two masks raises AssertionError, which survives ``-O``.
-    The pair sums :func:`count_set_exact` over the specs and takes the bound
-    from :func:`_union_bound`.
+    The limit sums :func:`set_density` over the specs; the pair sums
+    :func:`count_set_exact` and takes the bound from :func:`_union_bound`.
     """
     specs = tuple(specs)
     base, bound_numerator = _union_bound(specs)
-
-    def count(arr):
-        masks = bulk.in_set_masks(arr, specs)
-        total = int(sum(map(np.count_nonzero, masks)))
-        if len(masks) > 1 and total != np.count_nonzero(np.logical_or.reduce(masks)):
-            raise AssertionError("overlapping families in a spec union")
-        return total
 
     def exact(n_max):
         return (sum(count_set_exact(n_max, spec) for spec in specs),
                 Fraction(bound_numerator(n_max), base))
 
     return _ClassEntry(limit=sum(map(set_density, specs), Fraction(0)), count=count, exact=exact)
+
+
+def _family(spec: SetSpec) -> _ClassEntry:
+    """Entry for one SetSpec index family, its chunks counted by ``bulk.in_set_mask``."""
+    return _spec_union([spec], lambda arr: int(np.count_nonzero(bulk.in_set_mask(arr, spec))))
 
 
 def _residue_count(modulus: int, value: int) -> "Callable[[np.ndarray], int]":
@@ -289,18 +281,19 @@ def _mod3_counts(n_max: int) -> "tuple[int, int, int]":
 def _build_registry() -> "dict[str, _ClassEntry]":
     """Every class label, in table order, with its entry.
 
-    Limits, chunk counts and (count, bound) pairs of spec unions are derived
-    from their specs; the mod8=2 and mod8=6 halves, mod 3 and zero-one
-    entries state theirs.  The test suite checks every limit against
+    Limits and (count, bound) pairs of spec unions are derived from their
+    specs; the mod8=2 and mod8=6 halves, mod 3 and zero-one entries state
+    theirs.  Every residue class counts its chunks from M(n) mod m, each
+    index family from its mask.  The test suite checks every limit against
     hand-computed rationals and every exact counter against the sweep.
     """
     mod8 = MOD8_CLASS_SPECS
-    registry = {"even": _spec_union(mod8.values())}
+    registry = {"even": _spec_union(mod8.values(), _residue_count(2, 0))}
     for (eps, delta), spec in mod8.items():
-        registry[f"eps{eps}_delta{delta}"] = _spec_union([spec])
-    registry["mod8=4"] = _spec_union([mod8[(1, 1)], mod8[(3, 2)]])
+        registry[f"eps{eps}_delta{delta}"] = _family(spec)
+    registry["mod8=4"] = _spec_union([mod8[(1, 1)], mod8[(3, 2)]], _residue_count(8, 4))
     two_six_specs = [mod8[(1, 2)], mod8[(3, 1)]]
-    two_or_six = _spec_union(two_six_specs)
+    two_or_six = _spec_union(two_six_specs, _residue_count(4, 2))
     base, bound_numerator = _union_bound(two_six_specs)
 
     # n = (4i + eps) * 4**e - delta gives 2 or 6 by the parity of the one
@@ -333,9 +326,9 @@ def _build_registry() -> "dict[str, _ClassEntry]":
             Fraction(1 if value == 0 else 0), _residue_count(3, value),
             lambda n_max, value=value: (_mod3_counts(n_max)[value],
                                         (3 if value == 0 else 2) * _t01_ceiling(n_max)))
-    registry["div5"] = _spec_union(DIV5_FORM_SPECS)
+    registry["div5"] = _spec_union(DIV5_FORM_SPECS, _residue_count(5, 0))
     for form, spec in enumerate(DIV5_FORM_SPECS, start=1):
-        registry[f"div5_form{form}"] = _spec_union([spec])
+        registry[f"div5_form{form}"] = _family(spec)
     registry["t01"] = _ClassEntry(
         Fraction(0), lambda arr: int(np.count_nonzero(bulk.t01_mask(arr))),
         lambda n_max: (count_t01_upto(n_max), _t01_ceiling(n_max)))
@@ -369,7 +362,9 @@ def count_class_in_range(selector, lo: int, hi: int) -> int:
 
     O(hi - lo) and capped at ``bulk.MAX_INDEX``: the independent cross-check
     on the exact counters that :func:`empirical_density` reports.  It counts
-    ``mod8=2``, ``mod8=6`` and ``mod3=*`` from M(n) mod m itself.
+    every residue class (``even``, ``mod8=*``, ``mod4=2``, ``mod3=*``,
+    ``div5``) from M(n) mod m itself, and each index family through its
+    :mod:`motzkinlab.bulk` mask.
     """
     if not 0 <= lo <= hi:
         raise ValueError(f"need 0 <= lo <= hi, got [{lo}, {hi})")

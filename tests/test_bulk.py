@@ -37,7 +37,7 @@ def assert_kernels_match_scalars(indices) -> None:
     residues = {m: motzkin_mod_indices(m, arr).tolist() for m in SUPPORTED_MODULI}
     t01 = bulk.t01_mask(arr)
     specs = list(MOD8_CLASS_SPECS.values()) + list(DIV5_FORM_SPECS)
-    masks = bulk.in_set_masks(arr, specs)  # specs sharing (base, shift) share one factoring
+    masks = [bulk.in_set_mask(arr, spec) for spec in specs]
     for offset, n in enumerate(indices):
         for m in SUPPORTED_MODULI:
             assert prediction_matches(m, predicted_residue(m, n), residues[m][offset]), (m, n)

@@ -311,14 +311,10 @@ class TestInvariantsUnderOptimize:
          "classify.classify_mod8(5)", "two (eps, delta) witnesses for n=5"),
         ("classify._witness = lambda spec, unit, exponent: (0, 1)",
          "classify.classify_div5(5)", "two divisibility forms for n=5"),
-        ("bulk.in_set_masks = lambda values, specs: "
-         "[np.ones(len(values), dtype=bool)] * len(specs)",
-         "density.count_class_in_range('even', 0, 8)", "overlapping families in a spec union"),
-    ], ids=["classify_mod8", "classify_div5", "spec_union"])
+    ], ids=["classify_mod8", "classify_div5"])
     def test_two_witnesses_raise(self, patch, call, message):
         script = "\n".join([
-            "import numpy as np",
-            "from motzkinlab import bulk, classify, density",
+            "from motzkinlab import classify",
             patch,
             "try:",
             f"    {call}",

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 import time
 from fractions import Fraction
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from motzkinlab import density
 from motzkinlab.bulk import MAX_INDEX
 from motzkinlab.classify import (
     DIV5_FORM_SPECS,
@@ -374,6 +376,17 @@ class TestEmpiricalDensity:
                 expected = sum(count_set_exact(hi - 1, s) - count_set_exact(lo - 1, s)
                                for s in specs)
                 assert count_class_in_range(label, lo, hi) == expected, (label, lo)
+
+    def test_sweep_catches_a_wrong_union_spec(self, monkeypatch):
+        # The div5 sweep reads M(n) mod 5, not the specs, so a div5 union
+        # built with a wrong form-2 exponent no longer matches it.
+        wrong = [dataclasses.replace(spec, exp_offset=3) if spec == FORM2 else spec
+                 for spec in DIV5_FORM_SPECS]
+        monkeypatch.setattr(density, "DIV5_FORM_SPECS", wrong)
+        monkeypatch.setattr(density, "_REGISTRY", density._build_registry())
+        horizon = 10**5
+        assert empirical_density("div5", horizon).observed_count != \
+            count_class_in_range("div5", 0, horizon)
 
     @pytest.mark.parametrize("selector", ALL_LABELS)
     def test_error_bound_dominates_discrepancy(self, selector):

@@ -188,7 +188,10 @@ class TestModStream:
         stream = motzkin_mod_stream(modulus, count)
         assert list(stream.values) == motzkin_convolution_oracle(modulus, count)
 
-    @pytest.mark.parametrize("modulus", [8, 72])
+    # The automaton reads several digits per gather.  Below 10**5 the tables
+    # mod 16 (base 2**6), 25 (5**3), 27 (3**4) and 61 (one digit, as 64
+    # states times 61**2 is over the cap) take three steps; the rest take two.
+    @pytest.mark.parametrize("modulus", [2, 3, 4, 5, 8, 9, 16, 25, 27, 61, 72])
     def test_at_the_default_ceiling(self, modulus):
         count = engines.DEFAULT_CEILING
         assert list(motzkin_mod_stream(modulus, count).values) == \
