@@ -62,7 +62,7 @@ def _int_type(text: str) -> int:
     surrounding whitespace are dropped, gets the short error whether or not
     it is all digits: argparse would otherwise echo every character of it.
     Any other bad value stays a ValueError, which argparse reports under the
-    name of the type function: ``int`` here, ``_range_type`` for a range.
+    name of the type function: ``int`` here, ``range`` for a range.
     """
     try:
         return int(text)
@@ -76,6 +76,7 @@ def _int_type(text: str) -> int:
 
 
 _int_type.__name__ = "int"
+_range_type.__name__ = "range"
 
 
 def _fraction_str(value) -> str:

@@ -11,10 +11,12 @@ other so they can cross-check:
   :func:`empirical_density` reports them for every class.  Layer e of a
   :class:`SetSpec` family holds q_(e+1) + [d_e >= residue] members below
   N, where q_e = (N - shift)//base**e and d_e is the base-b digit e of
-  N - shift.  For base 4 with exp_step 1 (the mod-8 families) Legendre's
-  identity turns the sum into popcounts: a fixed number of big-int
-  operations.  Every other base and step walks the quotients in
-  O(log_b N) steps that divide by a small integer,
+  N - shift.  Legendre's identity turns the sum into digit sums: for base 4
+  with exp_step 1 (the mod-8 families) popcounts, a fixed number of big-int
+  operations; for the div-5 families (base 25) and any other spec whose
+  base**exp_step fits MAX_CHUNK_ENTRIES, one lookup per chunk of digits.
+  The zero-one count reads base-3**9 chunks the same way.  The tables are
+  built on first use; importing the module builds none,
 * counts obtained by streaming every index (:func:`count_class_in_range`),
   the O(N) cross-check on the exact counters: each residue class from
   M(n) mod m itself through the residue automaton, each index family
@@ -29,9 +31,11 @@ exact count over their specs; a residue class sweeps M(n) mod m instead.
 """
 
 import math
+from array import array
 from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache, lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -82,35 +86,100 @@ def _layer_sizes(bound: int, spec: SetSpec):
         q //= step
 
 
+# Entries in one digit-chunk lookup table.  A table over base B**K reads K
+# base-B digits per lookup, K the largest with B**K within this: 25**3 for
+# the div-5 specs, 3**9 for zero-one counts.  Each entry fits an int16 (see
+# _legendre_table).  On a shared 2-vCPU Xeon, at 2**15 a table takes about
+# 1 ms to build and at most 64 KiB to keep, and one div-5 spec or zero-one
+# count below 10**30 takes 1.9-2.1 us; at 2**12 that was 2.4-2.8 us, and at
+# 2**20 1.7-1.8 us for 39 ms builds that raised peak memory by 28 MB.
+MAX_CHUNK_ENTRIES = 1 << 15
+
+
+def _chunk_digits(base: int) -> int:
+    """The largest K with base**K <= MAX_CHUNK_ENTRIES (at least 1)."""
+    digits, size = 1, base
+    while size * base <= MAX_CHUNK_ENTRIES:
+        digits, size = digits + 1, size * base
+    return digits
+
+
+# Callers may count specs of any base and residue, so at most 64 tables
+# (4 MiB) are kept; the registry uses four.
+@lru_cache(maxsize=64)
+def _legendre_table(base: int, exp_step: int, residue: int):
+    """(B**K, B, b**(s - 1), L) for base b, exp_step s and B = b**s, or None.
+
+    L[c] = (B - 1)*#{digit positions p = 0 mod s of c with digit >= residue}
+    - sum_p d_p(c)*b**((p - 1) mod s), over the s*K base-b digits d_p of
+    each chunk c < B**K.  Both sums lie within K*(B - 1) <= B**K - 1 < 2**15,
+    so every entry fits an int16.  None when B exceeds MAX_CHUNK_ENTRIES.
+    """
+    step = base ** exp_step
+    if step > MAX_CHUNK_ENTRIES:
+        return None
+    digits = exp_step * _chunk_digits(step)
+    chunk = np.arange(base ** digits, dtype=np.int64)
+    entry = np.zeros_like(chunk)
+    for position in range(digits):
+        chunk, digit = np.divmod(chunk, base)
+        if position % exp_step == 0:
+            entry += (step - 1) * (digit >= residue)
+        entry -= digit * base ** ((position - 1) % exp_step)
+    return (base ** digits, step, base ** (exp_step - 1),
+            array("h", entry.astype(np.int16).tobytes()))
+
+
 def _count_members_at_most(bound: int, spec: SetSpec) -> int:
     """Members of ``spec`` (over all i, j, sign unrestricted) that are <= bound.
 
-    With q_e = (bound - shift)//base**e and d_e the base-b digit e of
-    bound - shift, layer e holds (q_e - residue)//base + 1 = q_(e+1) +
-    [d_e >= residue] members.  For base 4 with exp_step 1 every exponent
-    from the first one on is a layer, so with y = q_first Legendre's
-    identity sum_(k>=1) y//4**k = (y - s_4(y))/3 leaves only y's digits:
-    the digit sum s_4 and the count of digits >= residue, read off the bit
-    pairs of y by popcounts under the mask 0b0101...01 over an even number
-    of bits.  That is a fixed number of big-int operations.  Every other
-    base and step walks :func:`_layer_sizes`.
+    Put x = (bound - shift)//b**first_exponent and B = b**s for base b and
+    exp_step s.  Layer t holds the members with exponent first + s*t:
+    x//(b*B**t) + [base-b digit s*t of x >= residue] of them.  Legendre's
+    identity sum_(t>=1) y//B**t = (y - s_B(y))/(B - 1) with y = x//b turns
+    the sum into digit sums of x, read in two routes:
+
+    * base 4 with exp_step 1 (the mod-8 specs): the digit sum s_4 and the
+      count of digits >= residue from popcounts of y under the mask
+      0b0101...01, a fixed number of big-int operations.  Below 10**30
+      this takes 0.7 us against 1.6 us through a table;
+    * any other spec with B <= MAX_CHUNK_ENTRIES (the div-5 specs, by
+      base 25): (B - 1)*count = B*y + b**(s - 1)*(x mod b) + the sum of
+      L[c] over the base-B**K chunks c of x, one lookup per chunk in
+      :func:`_legendre_table`.  The b**(s - 1) term puts back digit 0 of x,
+      which belongs to x mod b and not to y.
+
+    A spec with B above the cap walks :func:`_layer_sizes`.
     """
-    if spec.base != 4 or spec.exp_step != 1:
+    base = spec.base
+    if base == 4 and spec.exp_step == 1:
+        shifted = bound - spec.shift
+        if shifted <= 0:
+            return 0
+        y = shifted >> 2 * spec.first_exponent
+        low = ((1 << ((y.bit_length() + 1) & ~1)) - 1) // 3
+        high = low << 1
+        digit_sum = (y & low).bit_count() + 2 * (y & high).bit_count()
+        if spec.residue == 1:
+            at_least = (y | y >> 1) & low
+        elif spec.residue == 2:
+            at_least = y & high
+        else:
+            at_least = y & y >> 1 & low
+        return (y - digit_sum) // 3 + at_least.bit_count()
+    table = _legendre_table(base, spec.exp_step, spec.residue)
+    if table is None:
         return sum(_layer_sizes(bound, spec))
-    shifted = bound - spec.shift
-    if shifted <= 0:
+    x = (bound - spec.shift) // base ** spec.first_exponent
+    if x <= 0:
         return 0
-    y = shifted >> 2 * spec.first_exponent
-    low = ((1 << ((y.bit_length() + 1) & ~1)) - 1) // 3
-    high = low << 1
-    digit_sum = (y & low).bit_count() + 2 * (y & high).bit_count()
-    if spec.residue == 1:
-        at_least = (y | y >> 1) & low
-    elif spec.residue == 2:
-        at_least = y & high
-    else:
-        at_least = y & y >> 1 & low
-    return (y - digit_sum) // 3 + at_least.bit_count()
+    size, step, weight, entries = table
+    y, low = divmod(x, base)
+    total = step * y + weight * low
+    while x:
+        x, chunk = divmod(x, size)
+        total += entries[chunk]
+    return total // (step - 1)
 
 
 def count_set_exact(n_max: int, spec: SetSpec) -> int:
@@ -120,11 +189,14 @@ def count_set_exact(n_max: int, spec: SetSpec) -> int:
     + shift with i >= 0, so each exponent layer contributes a single floor
     count.  Layers never overlap (the unit is nonzero mod base), so the
     layer counts add up exactly.  The layer sum depends only on the base-b
-    digits of n_max - shift: for base 4 with exp_step 1 (every mod-8
-    family) it takes a fixed number of big-int operations, for any other
-    base or step O(log_b n_max) steps that each divide by a small integer.  A
-    negative shift can push a few low-i members below zero; subtracting the
-    count at -1 removes them.
+    digits of n_max - shift (:func:`_count_members_at_most`): for base 4
+    with exp_step 1 (every mod-8 family) it takes a fixed number of big-int
+    operations; for any other spec whose base**exp_step is at most
+    MAX_CHUNK_ENTRIES, the div-5 families among them, one table lookup and
+    one small division per chunk of digits (six base-5 digits for div-5).
+    Larger base**exp_step walk the exponent layers, one small division
+    each.  A negative shift can push a few low-i members below zero;
+    subtracting the count at -1 removes them.
     """
     if n_max < 0:
         return 0
@@ -169,26 +241,48 @@ def _bound_numerator(n_max: int, spec: SetSpec) -> int:
 def count_t01_upto(n_max: int) -> int:
     """How many n with 0 <= n <= n_max have only base-3 digits 0 and 1.
 
-    Digit walk from the most significant base-3 digit of n_max: while the
-    prefix stays tight, a digit d contributes min(d, 2) free-tail choices
-    times 2**position; the walk dies at the first digit 2 (no zero-one
-    number can stay tight past it) and otherwise counts n_max itself.
+    Read in binary, the base-3 digits of the zero-one numbers <= n_max run
+    through 0, 1, ..., z, where z reads the largest of them, so the count is
+    z + 1.  That largest one keeps the digits of n_max above its most
+    significant digit 2 and turns that 2 and every digit below it into 1;
+    without a 2 it is n_max.  The walk reads n_max from the bottom, one
+    base-3**9 chunk per lookup in :func:`_t01_table`: a chunk without a 2
+    puts its 9 bits of z in place, and a chunk with a 2 puts its bits there
+    and sets every bit below them.  So a 4300-digit n_max costs about
+    1000 lookups and divisions by 3**9.
     """
     if n_max < 0:
         return 0
-    digits = []
-    value = n_max
-    while value:
-        digits.append(value % 3)
-        value //= 3
-    count = 0
-    for position in range(len(digits) - 1, -1, -1):
-        digit = digits[position]
-        if digit >= 2:
-            count += 2 << position
-            return count
-        count += digit << position
-    return count + 1  # n_max itself is a zero-one number
+    size, bits, entries = _t01_table()
+    z = offset = 0
+    while n_max:
+        n_max, chunk = divmod(n_max, size)
+        entry = entries[chunk]
+        if entry < 0:
+            z = (~entry << offset) | ((1 << offset) - 1)
+        else:
+            z |= entry << offset
+        offset += bits
+    return z + 1
+
+
+@cache
+def _t01_table():
+    """(3**K, K, T) for the base-3**K chunks of :func:`count_t01_upto`.
+
+    T[c] is the binary reading of the largest zero-one number <= c, stored
+    complemented (~T[c] < 0) when c has a digit 2.
+    """
+    bits = _chunk_digits(3)
+    chunk = np.arange(3 ** bits, dtype=np.int64)
+    largest = np.zeros_like(chunk)
+    has_two = np.zeros(chunk.size, dtype=bool)
+    for position in range(bits):
+        chunk, digit = np.divmod(chunk, 3)
+        largest = np.where(digit == 2, (2 << position) - 1, largest | digit << position)
+        has_two |= digit == 2
+    entries = np.where(has_two, ~largest, largest)
+    return 3 ** bits, bits, array("h", entries.astype(np.int16).tobytes())
 
 
 def _t01_ceiling(n_max: int) -> int:

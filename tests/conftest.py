@@ -3,9 +3,10 @@
 The oracles are deliberately naive and independent of the package code:
 one evaluates the defining binomial-Catalan sum with stdlib combinatorics,
 one literally enumerates lattice walks, one runs the modular
-convolution recurrence on Python integers, and two multiply up the power
+convolution recurrence on Python integers, two multiply up the power
 of every exponent layer: one counts SetSpec members, one rebuilds the
-error bound of a SetSpec count.
+error bound of a SetSpec count, and one counts zero-one numbers one base-3
+digit at a time.
 """
 
 import math
@@ -90,6 +91,28 @@ def error_bound_oracle(n_max: int, spec: SetSpec) -> Fraction:
     smallest = spec.base ** (spec.exp_step * spec.min_j + spec.exp_offset)
     return (2 * (trunc + 2) + Fraction(spec.residue * (trunc + 1), spec.base) + smallest
             + max(0, abs(spec.shift) + 1 - smallest))
+
+
+def t01_count_oracle(n_max: int) -> int:
+    """How many n in [0, n_max] have only base-3 digits 0 and 1, one digit per step.
+
+    Walk from the most significant base-3 digit of n_max: while the prefix
+    stays tight, a digit d adds min(d, 2) free-tail choices times
+    2**position; the walk ends at the first digit 2, and otherwise counts
+    n_max itself.
+    """
+    if n_max < 0:
+        return 0
+    digits = []
+    while n_max:
+        n_max, digit = divmod(n_max, 3)
+        digits.append(digit)
+    count = 0
+    for position in range(len(digits) - 1, -1, -1):
+        if digits[position] == 2:
+            return count + (2 << position)
+        count += digits[position] << position
+    return count + 1
 
 
 @pytest.fixture(scope="session")

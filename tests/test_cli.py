@@ -446,9 +446,9 @@ class TestIntegerArguments:
                                         f"must have at most {limit} digits, got {limit + 2}")
 
     @pytest.mark.parametrize("argv, message", [
-        (("classify", "x", "--mod", "8"), "argument range: invalid _range_type value: 'x'"),
-        (("classify", "1..x", "--mod", "8"), "argument range: invalid _range_type value: '1..x'"),
-        (("classify", "5..3", "--mod", "8"), "argument range: invalid _range_type value: '5..3'"),
+        (("classify", "x", "--mod", "8"), "argument range: invalid range value: 'x'"),
+        (("classify", "1..x", "--mod", "8"), "argument range: invalid range value: '1..x'"),
+        (("classify", "5..3", "--mod", "8"), "argument range: invalid range value: '5..3'"),
         (("compute", "0..10", "--mod", "x"), "argument --mod: invalid int value: 'x'"),
         (("verify", "1e3", "--mod", "8"), "argument count: invalid int value: '1e3'"),
         (("density", "even", "-N", "0x10"), "argument -N/--horizon: invalid int value: '0x10'"),

@@ -5,7 +5,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from motzkinlab import density
@@ -37,7 +37,7 @@ from motzkinlab.density import (
 )
 from motzkinlab.engines import CEILING_ENV_VAR, ResourceLimitError
 
-from conftest import error_bound_oracle, layer_count_oracle
+from conftest import error_bound_oracle, layer_count_oracle, t01_count_oracle
 
 FORM2 = DIV5_FORM_SPECS[1]
 
@@ -58,7 +58,7 @@ def cached_oracle(n_max: int, spec: SetSpec) -> int:
 
 # Spec shapes for the oracle comparison.  Base 4 with exp_step 1 takes the
 # popcount path, for every residue (no classifier spec has residue 2); base
-# 5 with exp_step 1 to 3 walks the layer quotients.
+# 5 with exp_step 1 to 3 reads the lookup tables.
 SYNTHETIC_SPECS = [
     SetSpec(4, residue, 1, offset, shift, min_j)
     for residue in (1, 2, 3)
@@ -70,11 +70,16 @@ SYNTHETIC_SPECS = [
 
 
 def oracle_horizons() -> "list[int]":
-    """-3..3000, both bit-length parities around powers of 4 and 2, random values to 10**60."""
+    """-3..3000, b**k - 3..b**k + 2 and random values, all up to 10**60.
+
+    Powers of 4 and 2 (to 10**40) give both bit-length parities of the
+    popcount path; powers of 3 and 5 (those of 25 among them) cross the
+    digit chunks of the lookup tables.
+    """
     rng = random.Random(4001)
-    near_powers = [base**k + d for base, top in ((4, 66), (2, 131))
-                   for k in range(1, top) for d in range(-3, 3)]
-    return list(range(-3, 3000)) + near_powers + [rng.randrange(10**60) for _ in range(300)]
+    near_powers = {base**k + d for base, top in ((4, 66), (2, 131), (3, 126), (5, 86))
+                   for k in range(1, top) for d in range(-3, 3)}
+    return list(range(-3, 3000)) + sorted(near_powers) + [rng.randrange(10**60) for _ in range(300)]
 
 
 class TestClosedDensity:
@@ -148,10 +153,49 @@ class TestCountSetExact:
             for n_max in horizons:
                 assert count_set_exact(n_max, spec) == layer_count_oracle(n_max, spec), (spec, n_max)
 
+    def test_matches_layer_count_oracle_on_every_residue(self):
+        # Each (base, exp_step, residue) reads its own lookup table.  Base 8
+        # with exp_step 5 fills one table chunk exactly, and base 200 with
+        # exp_step 2 is past the cap, so it walks the exponent layers.
+        assert 8**5 <= density.MAX_CHUNK_ENTRIES < 200**2
+        specs = [SetSpec(base, residue, step, 1, shift, min_j)
+                 for base in range(2, 8) for residue in range(1, base) for step in (1, 2, 3)
+                 for shift in (-3, 0, 2) for min_j in (0, 1)]
+        specs += [SetSpec(8, residue, 5, 0, -1, 0) for residue in (1, 7)]
+        specs += [SetSpec(200, residue, 2, 1, shift, 0) for residue in (1, 199) for shift in (-3, 2)]
+        rng = random.Random(20)
+        sampled = [rng.randrange(10**60) for _ in range(10)]
+        for spec in specs:
+            near_powers = [spec.base**k + spec.shift + d for k in range(1, 200)
+                           if spec.base**k <= 10**40 for d in (-1, 0)]
+            for n_max in [*range(-3, 100), *near_powers, *sampled]:
+                assert count_set_exact(n_max, spec) == layer_count_oracle(n_max, spec), (spec, n_max)
+
+    @settings(deadline=None)
+    @given(base=st.integers(min_value=2, max_value=7),
+           residue_offset=st.integers(min_value=0, max_value=5),
+           exp_step=st.integers(min_value=1, max_value=3),
+           exp_offset=st.integers(min_value=0, max_value=2),
+           shift=st.integers(min_value=-3, max_value=3),
+           min_j=st.integers(min_value=0, max_value=1),
+           n=st.integers(min_value=0, max_value=10**40),
+           i=st.integers(min_value=0, max_value=10**12),
+           j=st.integers(min_value=0, max_value=12))
+    def test_steps_by_one_at_each_member(self, base, residue_offset, exp_step, exp_offset,
+                                         shift, min_j, n, i, j):
+        # At a random n below 10**40 and at a member of the family.
+        spec = SetSpec(base, 1 + residue_offset % (base - 1), exp_step, exp_offset, shift, min_j)
+        for index in (n, spec.member(i, j + min_j)):
+            if index >= 0:
+                step = count_set_exact(index, spec) - count_set_exact(index - 1, spec)
+                assert step == (is_in_set(index, spec) is not None), (spec, index)
+
     def test_matches_layer_count_oracle_at_a_huge_horizon(self, classifier_specs):
-        # The classifier specs, base 4 with residue 2, and base 5 with the
-        # exp_steps no classifier spec has.
-        shapes = [SetSpec(4, 2, 1, 1, -1, 0)] + [SetSpec(5, 3, step, 1, -2, 0) for step in (1, 3)]
+        # The classifier specs, base 4 with residue 2, base 5 with the
+        # exp_steps no classifier spec has, and base 5 with exp_step 2 from
+        # exponent 0 for every residue.
+        shapes = ([SetSpec(4, 2, 1, 1, -1, 0)] + [SetSpec(5, 3, step, 1, -2, 0) for step in (1, 3)]
+                  + [SetSpec(5, residue, 2, 0, 2, 0) for residue in range(1, 5)])
         for spec in classifier_specs + shapes:
             n_max = HUGE_HORIZON - 1
             assert count_set_exact(n_max, spec) == cached_oracle(n_max, spec), spec
@@ -227,6 +271,24 @@ class TestCountT01:
         for n in range(3**8):
             running += is_t01(n)
             assert count_t01_upto(n) == running
+
+    def test_matches_t01_count_oracle(self):
+        # Past the first base-3**9 chunk, around every chunk boundary below
+        # 10**60, at random values and at 4001 digits.
+        rng = random.Random(9)
+        near_chunks = [3 ** (9 * k) + d for k in range(1, 14) for d in range(-3, 4)]
+        sampled = [rng.randrange(10**60) for _ in range(2000)]
+        for n_max in [*range(-1, 3**10 + 1), *near_chunks, *sampled, HUGE_HORIZON]:
+            assert count_t01_upto(n_max) == t01_count_oracle(n_max), n_max
+
+    @settings(deadline=None)
+    @given(n=st.integers(min_value=1, max_value=10**40),
+           binary=st.integers(min_value=1, max_value=2**83))
+    def test_steps_by_one_at_each_zero_one_number(self, n, binary):
+        # At a random n below 10**40, and at the zero-one number whose
+        # base-3 digits spell ``binary``.
+        for index in (n, int(bin(binary)[2:], 3)):
+            assert count_t01_upto(index) - count_t01_upto(index - 1) == is_t01(index), index
 
     def test_capped_by_power_of_two(self):
         for n_max in [1, 2, 5, 80, 100, 3**7, 10**6, 10**9]:
