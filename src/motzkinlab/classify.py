@@ -195,8 +195,10 @@ MOD8_CLASS_SPECS: "dict[tuple[int, int], SetSpec]" = {
 }
 
 
-# Every odd outcome, built and validated once.
+# Every odd outcome, built and validated once; the even kinds bound once,
+# since each Mod8Kind.X is a class attribute lookup.
 _ODD = Mod8Classification(Mod8Kind.ODD)
+_RESIDUE_2, _RESIDUE_4, _RESIDUE_6 = Mod8Kind.RESIDUE_2, Mod8Kind.RESIDUE_4, Mod8Kind.RESIDUE_6
 
 
 def classify_mod8(n: int) -> Mod8Classification:
@@ -225,10 +227,10 @@ def classify_mod8(n: int) -> Mod8Classification:
     delta, unit, exponent = match
     eps = unit & 3
     witness = Mod8Witness(eps, delta, unit >> 2, exponent - 1)
-    if (eps, delta) in ((1, 1), (3, 2)):
-        return Mod8Classification(Mod8Kind.RESIDUE_4, witness)
+    if (eps == 1) == (delta == 1):  # (eps, delta) is (1, 1) or (3, 2)
+        return Mod8Classification(_RESIDUE_4, witness)
     ones = (unit - 1).bit_count()
-    kind = Mod8Kind.RESIDUE_2 if ones % 2 == 0 else Mod8Kind.RESIDUE_6
+    kind = _RESIDUE_2 if ones % 2 == 0 else _RESIDUE_6
     return Mod8Classification(kind, witness, ones)
 
 

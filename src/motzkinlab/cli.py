@@ -20,6 +20,7 @@ import json
 import os
 import sys
 from contextlib import contextmanager, nullcontext
+from json.encoder import encode_basestring_ascii
 
 from . import checks, density, engines
 from .classify import classify_div5, classify_mod3, classify_mod8
@@ -87,15 +88,31 @@ def _decimal(value) -> str:
     return f"{float(value):.12g}"
 
 
-# json.dumps builds a new encoder per call whenever an option is set.
+# Values other than exact ints, strings and None (bools, floats, anything
+# json may reject) are encoded by json itself, with the separators of a row.
 _JSON = json.JSONEncoder(separators=(",", ":"))
+
+
+def _json_value(value) -> str:
+    """One row value as json encodes it inside ``_JSON.encode(row_dict)``."""
+    kind = type(value)
+    if kind is int:
+        return int.__repr__(value)
+    if value is None:
+        return "null"
+    if kind is str:
+        return encode_basestring_ascii(value)
+    return _JSON.encode(value)
 
 
 def _emit(handle, fmt: str, columns, rows) -> None:
     """One table with a fixed column schema, as CSV (None left empty) or JSON lines.
 
-    A reader that goes away early (``| head``) ends the output quietly; any
-    other failed write (a full disk) is a resource error, exit 3.
+    Each JSON line is byte-identical to ``json.dumps(dict(zip(columns, row)),
+    separators=(",", ":"))``, ASCII-escaped.  It is filled into one template
+    built from the column names, one write per row.  A reader that goes away
+    early (``| head``) ends the output quietly; any other failed write (a
+    full disk) is a resource error, exit 3.
     """
     try:
         if fmt == "csv":
@@ -103,8 +120,10 @@ def _emit(handle, fmt: str, columns, rows) -> None:
             writer.writerow(columns)
             writer.writerows(rows)
         else:
+            line = "{" + ",".join(encode_basestring_ascii(name).replace("%", "%%") + ":%s"
+                                  for name in columns) + "}\n"
             for values in rows:
-                handle.write(_JSON.encode(dict(zip(columns, values))) + "\n")
+                handle.write(line % tuple(map(_json_value, values)))
         handle.flush()
     except OSError as exc:
         # Keep the flushes still to come quiet: the handle's close, the

@@ -8,9 +8,11 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from motzkinlab import checks, density, engines
-from motzkinlab.cli import _emit, main
+from motzkinlab.cli import _CLASSIFY_COLUMNS, _classify_row, _emit, _unlimited_int_digits, main
 from motzkinlab.engines import CEILING_ENV_VAR, iter_motzkin_exact, motzkin_mod_stream
 
 
@@ -179,6 +181,36 @@ class TestCompute:
         assert err.count("\n") == 1 and "--out" in err
 
 
+# Characters that JSON escapes or a %-template could misread, drawn often.
+_AWKWARD_TEXT = st.text(st.one_of(st.sampled_from('%"\\/\x00\x1f\x7f\n\u00e9\u2028\U0001f600'),
+                                  st.characters()), max_size=12)
+_ROW_VALUES = st.one_of(
+    st.integers(),
+    # Past the interpreter's 4300-digit int->str limit, which _emit runs without.
+    st.builds(lambda digits, sign: sign * (10**digits - 7),
+              st.integers(min_value=4301, max_value=4400), st.sampled_from([1, -1])),
+    st.none(),
+    st.booleans(),
+    st.floats(allow_nan=True, allow_infinity=True),
+    _AWKWARD_TEXT,
+)
+
+
+class TestJsonLines:
+    @settings(deadline=None)
+    @given(st.lists(_AWKWARD_TEXT, min_size=1, max_size=6, unique=True).flatmap(
+        lambda columns: st.tuples(st.just(columns),
+                                  st.lists(st.tuples(*[_ROW_VALUES] * len(columns)), max_size=4))))
+    def test_each_line_is_json_dumps_of_its_row(self, table):
+        columns, rows = table
+        handle = io.StringIO()
+        with _unlimited_int_digits():
+            _emit(handle, "jsonl", columns, rows)
+            expected = "".join(json.dumps(dict(zip(columns, row)), separators=(",", ":")) + "\n"
+                               for row in rows)
+        assert handle.getvalue() == expected
+
+
 class TestClassify:
     def test_mod8_example(self, capsys):
         code, out, _ = run(capsys, "classify", "3", "--mod", "8")
@@ -232,6 +264,17 @@ class TestClassify:
                 assert record["class"] == "odd"
             else:
                 assert record["class"] == str(residue % modulus)
+
+    @pytest.mark.parametrize("modulus", checks.SUPPORTED_MODULI)
+    def test_jsonl_rows_at_a_huge_index(self, capsys, modulus):
+        lo, hi = 10**12 - 1000, 10**12 + 1000
+        code, out, _ = run(capsys, "classify", f"{lo}..{hi}", "--mod", str(modulus),
+                           "--format", "jsonl")
+        columns = _CLASSIFY_COLUMNS[modulus]
+        assert code == 0
+        assert out == "".join(
+            json.dumps(dict(zip(columns, _classify_row(modulus, n))), separators=(",", ":")) + "\n"
+            for n in range(lo, hi))
 
     def test_unsupported_modulus(self, capsys):
         code, _, err = run(capsys, "classify", "3", "--mod", "7")
