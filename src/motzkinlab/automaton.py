@@ -1,20 +1,22 @@
 """Prime-power digit automata: M(n) mod m read off the base-p digits of n.
 
 The Motzkin numbers are constant terms, M(n) = CT[Q·Pⁿ] with
-P = x⁻¹ + 1 + x and Q = 1 − x².  For m = p^a put S = P^(p^(a−1)).  Then
-S(x)^p ≡ S(x^p) mod p^a (Rowland–Yassawi, J. Théor. Nombres Bordeaux 2015,
-after Rowland–Zeilberger, J. Difference Eq. Appl. 2014), so for any Laurent
-polynomial R and q = p·q′ + d,
+P = x⁻¹ + 1 + x and Q = 1 − x².  For m = p^a put s = p^(a−1) and S = P^s.
+Then S(x)^p ≡ S(x^p) mod p^a (Rowland–Yassawi, J. Théor. Nombres Bordeaux
+2015, after Rowland–Zeilberger, J. Difference Eq. Appl. 2014), so for any
+Laurent polynomial R and q = p·q′ + d,
 
     CT[R·S^q] ≡ CT[Λ(R·S^d)·S^q′]  (mod p^a),
 
-where Λ keeps the exponents divisible by p and divides them by p.  Write
-n = r + p^(a−1)·q with r = n mod p^(a−1).  The automaton starts at
-R = Q·P^r mod p^a, reads the base-p digits of q from the least significant
-end with R ↦ Λ(R·S^d) mod p^a, and outputs CT[R].  A zero digit maps R to
-Λ(R), which has the same constant term, so leading zeros change nothing.
-Its states are the polynomials this reaches; there are finitely many.  The
-table kept reads k digits per step: the one-digit table composed k times.
+where Λ keeps the exponents divisible by p and divides them by p.  With
+n = r + s·q, r < s, the automaton starts at R = Q·P^r mod p^a, reads the
+base-p digits of q from the least significant end with R ↦ Λ(R·S^d) mod p^a,
+and outputs CT[R].  A zero digit maps R to Λ(R), which has the same constant
+term, so leading zeros change nothing.  Every such R lies in the exponent
+window [−s, s + 1], where the step is linear: digit d is one D×D matrix A_d
+over Z/p^a, D = 2s + 2 (a linear representation; Allouche–Shallit 2003).
+The states, finitely many, are the vectors the A_d reach from the starts.
+The kept table reads k digits a step: the one-digit table composed k times.
 
 Each prime power's table is built on first use and cached; importing the
 module builds nothing.  The one-digit tables are capped at
@@ -30,6 +32,7 @@ state array and one gather per base-p^k digit of the largest index;
 ``motzkin_mod_array(m, count)`` runs it on 0, ..., count − 1.
 """
 
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -40,11 +43,13 @@ from .bulk import checked_indices
 # Transition-table entries (states × p) any one prime power may use.  It
 # admits every prime power below 64 except 32 and 49.  The start states Q·P^r
 # have distinct lowest exponents -r, so a table holds at least p**a entries.
-# The pre-check is stricter: it refuses p**(a - 1) * p**a over the cap, for
-# the build work grows with the square of the p**(a - 1) start states.  Every
-# prime power that fits passes it (27 is the largest, at 243); those it lets
-# through that do not fit, such as 64, 81, 125 and the primes above 61,
-# outgrow the cap after short builds.
+# The pre-check is stricter: it refuses p**(2a - 1) over the cap.  A build
+# costs states · p matvecs of size D², O(s²) for the starts and O(p**(2a)) for
+# the S^d in the matrices; a matvec sums D products below p**(2a), and the
+# pre-check keeps p**(2a) · D <= 4096² · 66, far inside int64.  Every prime
+# power that fits passes it (27 is the largest, at 243); those it lets through
+# that do not fit, such as 64, 81, 125 and the primes above 61, outgrow the
+# cap during their builds (2-vCPU Xeon: 20 ms mod 64, 0.2 s mod 4093).
 MAX_TABLE_ENTRIES = 4096
 
 # A table over base p**k reads k base-p digits per gather; k is the largest
@@ -89,13 +94,29 @@ class _Automaton:
         return self.output[states]
 
 
-def _trimmed(low: int, coeffs: np.ndarray):
-    """(low exponent, coefficients) with the zero coefficients at both ends cut."""
-    nonzero = np.flatnonzero(coeffs)
-    if nonzero.size == 0:
-        return 0, coeffs[:0]
-    first, last = nonzero[0], nonzero[-1]
-    return low + int(first), coeffs[first:last + 1]
+def _digit_matrices(p: int, a: int) -> "tuple[np.ndarray, np.ndarray]":
+    """(starts, matrices) mod p**a over the exponent window [-s, s + 1], s = p**(a - 1).
+
+    Row r of ``starts`` holds the coefficients of Q·P^r; ``matrices[d]`` maps
+    R to Λ(R·S^d), so its entry [i, j] is S^d's coefficient at p(i − s) − (j − s).
+    """
+    modulus, shift = p**a, p ** (a - 1)
+    window = np.arange(2 * shift + 2) - shift
+    starts = np.zeros((shift, window.size), dtype=np.int64)
+    power = np.ones(1, dtype=np.int64)               # P^r, lowest exponent -r
+    for r in range(shift):
+        starts[r, shift - r:shift + r + 3] = np.convolve([1, 0, -1], power) % modulus
+        power = np.convolve(power, [1, 1, 1]) % modulus
+    centre = (p + 1) * shift + 1                    # s_power[centre + e]: S^d at x^e
+    read = p * window[:, None] - window + centre
+    s_power = np.zeros(read.max() + 1, dtype=np.int64)
+    s_power[centre] = 1
+    matrices = np.empty((p, window.size, window.size), dtype=np.int64)
+    for digit in range(p):
+        matrices[digit] = s_power[read]
+        low, high = centre - digit * shift, centre + digit * shift + 1  # where S^d is nonzero
+        s_power[low - shift:high + shift] = np.convolve(s_power[low:high], power) % modulus
+    return starts, matrices
 
 
 @lru_cache(maxsize=None)
@@ -104,47 +125,26 @@ def _automaton(p: int, a: int) -> _Automaton:
         raise StateCapError(_REFUSED[p, a])
     modulus, shift = p**a, p ** (a - 1)
     max_states = MAX_TABLE_ENTRIES // p
-    index: "dict[tuple[int, bytes], int]" = {}
-    states: "list[tuple[int, np.ndarray]]" = []
+    starts, matrices = _digit_matrices(p, a)
+    index: "dict[bytes, int]" = {}
+    states: "list[np.ndarray]" = []
 
-    def intern(low: int, coeffs: np.ndarray) -> int:
-        low, coeffs = _trimmed(low, coeffs % modulus)
-        key = (low, coeffs.tobytes())
-        found = index.get(key)
-        if found is not None:
-            return found
-        if len(states) == max_states:
-            _REFUSED[p, a] = (f"the automaton mod {p}^{a} has more than {max_states} "
-                              f"states, over the cap of {MAX_TABLE_ENTRIES} table entries")
-            raise StateCapError(_REFUSED[p, a])
-        index[key] = len(states)
-        states.append((low, coeffs))
-        return len(states) - 1
+    def intern(vector: np.ndarray) -> int:
+        key = vector.tobytes()
+        if key not in index:
+            if len(states) == max_states:
+                _REFUSED[p, a] = (f"the automaton mod {p}^{a} has more than {max_states} "
+                                  f"states, over the cap of {MAX_TABLE_ENTRIES} table entries")
+                raise StateCapError(_REFUSED[p, a])
+            index[key] = len(states)
+            states.append(vector)
+        return index[key]
 
-    p_poly = np.ones(3, dtype=np.int64)              # P, lowest exponent -1
-    q_poly = np.array([1, 0, -1], dtype=np.int64)    # Q, lowest exponent 0
-    power = np.ones(1, dtype=np.int64)               # P^r, lowest exponent -r
-    start = np.empty(shift, dtype=np.int16)
-    for r in range(shift):
-        start[r] = intern(-r, np.convolve(q_poly, power))
-        power = np.convolve(power, p_poly) % modulus
-    s = power                                        # S = P^shift
-    s_powers = [np.ones(1, dtype=np.int64)]          # S^d, lowest exponent -d*shift
-
+    start = np.array([intern(vector) for vector in starts], dtype=np.int16)
     rows = []
     while len(rows) < len(states):
-        low, coeffs = states[len(rows)]
-        row = []
-        for digit in range(p):
-            if digit == len(s_powers):
-                s_powers.append(np.convolve(s_powers[-1], s) % modulus)
-            product = np.convolve(coeffs, s_powers[digit]) if coeffs.size else coeffs
-            product_low = low - digit * shift
-            first = -product_low % p
-            row.append(intern((product_low + first) // p, product[first::p]))
-        rows.append(row)
-    output = np.array([coeffs[-low] if 0 <= -low < len(coeffs) else 0
-                       for low, coeffs in states], dtype=np.int64)
+        rows.append([intern(vector) for vector in matrices @ states[len(rows)] % modulus])
+    output = np.array([vector[shift] for vector in states], dtype=np.int64)
     # Compose the one-digit table with itself: column d + p*D of the next
     # table is column D of the last one, read from the state digit d leads to.
     one_digit = table = np.array(rows, dtype=np.int16)
@@ -157,8 +157,17 @@ def _automaton(p: int, a: int) -> _Automaton:
     return automaton
 
 
+def _integer(value, name: str) -> int:
+    """``value`` as an int; a ValueError naming it unless ``operator.index`` takes it."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
 def _prime_powers(modulus: int) -> "list[tuple[int, int]]":
     """[(p, a), ...] with modulus = the product of the p**a, each past the pre-check."""
+    modulus = _integer(modulus, "modulus")
     if modulus < 2:
         raise ValueError(f"modulus must be at least 2, got {modulus}")
     if modulus >= 2**63:
@@ -206,6 +215,7 @@ def motzkin_mod_at(n: int, modulus: int) -> int:
     the cap: at once for a prime-power factor above it, else during the build
     that outgrows it.
     """
+    n = _integer(n, "index")
     if n < 0:
         raise ValueError(f"index must be non-negative, got {n}")
     return int(_by_crt(modulus, lambda automaton: automaton.residue(n)))
@@ -225,6 +235,7 @@ def motzkin_mod_indices(modulus: int, indices) -> np.ndarray:
 
 def motzkin_mod_array(modulus: int, count: int) -> np.ndarray:
     """M(0), ..., M(count - 1) mod ``modulus`` as an int64 array."""
+    count = _integer(count, "count")
     if count < 0:
         raise ValueError(f"count must be non-negative, got {count}")
     return motzkin_mod_indices(modulus, np.arange(count, dtype=np.int64))

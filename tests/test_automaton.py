@@ -20,9 +20,15 @@ from motzkinlab.bulk import MAX_INDEX
 from motzkinlab.classify import classify_div5, classify_mod3, classify_mod8
 from motzkinlab.engines import iter_motzkin_exact
 
+from conftest import motzkin_convolution_oracle
+
 PRIME_POWERS = (2, 3, 4, 5, 8, 9, 16, 25)
 SWEEP = 30_000
 HUGE = 10**30
+PRIMES_TO_125 = [p for p in range(2, 126) if all(p % d for d in range(2, p))]
+# (q, p, a) for every prime power q = p**a up to 125.
+PRIME_POWERS_TO_125 = [(p**a, p, a) for p in PRIMES_TO_125
+                       for a in range(1, 8) if p**a <= 125]
 
 
 @pytest.fixture(scope="module")
@@ -97,6 +103,38 @@ class TestPointQueries:
         with pytest.raises(ValueError):
             motzkin_mod_array(8, -1)
 
+    @pytest.mark.parametrize("call, name", [
+        (lambda: motzkin_mod_at(10.0, 8), "index"),
+        (lambda: motzkin_mod_at(10, 8.5), "modulus"),
+        (lambda: motzkin_mod_array(8, 5.5), "count"),
+    ], ids=["float index", "float modulus", "float count"])
+    def test_non_integers_are_named(self, call, name):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+            call()
+
+    def test_numpy_integers_are_accepted(self):
+        assert motzkin_mod_at(np.int64(10), np.int32(8)) == motzkin_mod_at(10, 8)
+        assert motzkin_mod_array(np.uint8(9), np.int16(12)).tolist() == \
+            motzkin_mod_array(9, 12).tolist()
+
+
+class TestDigitMatrices:
+    @pytest.mark.parametrize("modulus, p, a", PRIME_POWERS_TO_125,
+                             ids=[f"q={q}" for q, _, _ in PRIME_POWERS_TO_125])
+    def test_products_match_the_oracle(self, modulus, p, a):
+        """e_s · A_(d_k) ⋯ A_(d_0) · v_r mod q is M(n), with no table: 32, 49, 64,
+        81, 125 and the primes above 61 are all over the table cap."""
+        count, shift = 600, p ** (a - 1)
+        starts, matrices = automaton._digit_matrices(p, a)
+        assert starts.shape == (shift, 2 * shift + 2)
+        assert matrices.shape == (p, 2 * shift + 2, 2 * shift + 2)
+        q, r = np.divmod(np.arange(count), shift)
+        vectors = starts[r]
+        while q.any():  # a zero digit keeps the constant term
+            q, digits = np.divmod(q, p)
+            vectors = np.einsum("nij,nj->ni", matrices[digits], vectors) % modulus
+        assert vectors[:, shift].tolist() == motzkin_convolution_oracle(modulus, count)
+
 
 class TestIndexArrays:
     @pytest.mark.parametrize("modulus", (2, 3, 4, 5, 8, 9, 25, 72))
@@ -148,9 +186,9 @@ class TestStateCap:
         with pytest.raises(StateCapError) as first:
             motzkin_mod_at(HUGE, modulus)
         built = []
-        real_trimmed = automaton._trimmed
-        monkeypatch.setattr(automaton, "_trimmed",
-                            lambda *args: built.append(args) or real_trimmed(*args))
+        real_matrices = automaton._digit_matrices
+        monkeypatch.setattr(automaton, "_digit_matrices",
+                            lambda *args: built.append(args) or real_matrices(*args))
         for again in (lambda: motzkin_mod_at(HUGE, modulus),
                       lambda: motzkin_mod_array(modulus, 10)):
             with pytest.raises(StateCapError) as second:
@@ -162,9 +200,23 @@ class TestStateCap:
         assert automaton.MAX_TABLE_ENTRIES == 4096
         for modulus in (27, 61, 63):
             assert motzkin_mod_at(0, modulus) == 1
-        entries = {q: len(automaton._automaton(p, a).output) * p
-                   for q, p, a in ((8, 2, 3), (16, 2, 4), (25, 5, 2))}
-        assert entries == {8: 250, 16: 1588, 25: 2070}
+        states = {2: 5, 4: 25, 8: 125, 16: 794, 3: 6, 9: 46, 27: 477, 5: 10, 25: 414,
+                  7: 10, 11: 16, 13: 16, 17: 22, 19: 22, 23: 28, 29: 34, 31: 34,
+                  37: 40, 41: 46, 43: 46, 47: 52, 53: 58, 59: 64, 61: 64}
+        served = [(q, p, a) for q, p, a in PRIME_POWERS_TO_125 if q in states]
+        assert len(served) == len(states) == 24
+        entries = {q: len(automaton._automaton(p, a).output) * p for q, p, a in served}
+        assert entries == {q: states[q] * p for q, p, a in served}
+
+    def test_refused_below_64(self):
+        refused = set()
+        for q, p, a in PRIME_POWERS_TO_125:
+            if q < 64:
+                try:
+                    automaton._automaton(p, a)
+                except StateCapError:
+                    refused.add(q)
+        assert refused == {32, 49}
 
     def test_tables_are_read_only(self):
         table = automaton._automaton(2, 3).table
