@@ -17,12 +17,15 @@ window [−s, s + 1], where the step is linear: digit d is one D×D matrix A_d
 over Z/p^a, D = 2s + 2 (a linear representation; Allouche–Shallit 2003).
 The states, finitely many, are the vectors the A_d reach from the starts.
 The kept table reads k digits a step: the one-digit table composed k times.
+One builder, :func:`_digit_machine`, makes these tables and the machines
+that sweep the index families and the zero-one numbers for density.
 
-Each prime power's table is built on first use and cached; importing the
-module builds nothing.  The one-digit tables are capped at
-``MAX_TABLE_ENTRIES`` (states × p): a prime power that cannot fit is refused
-before its build starts, and a build that outgrows the cap stops and is not
-tried again.  Both raise :class:`StateCapError`.  A modulus is served when it is below
+Each table is built on first use and cached; importing the module builds
+nothing.  The one-digit tables are capped at ``MAX_TABLE_ENTRIES``
+(states × p): a prime power that cannot fit is refused before its build
+starts (for a prime, when the distinct M(d) mod p, d <= p - 3, already
+pass the cap), and a build that outgrows the cap stops and is not tried
+again.  Both raise :class:`StateCapError`.  A modulus is served when it is below
 2**63 and each of its prime-power factors is; the factors are combined by
 the Chinese remainder theorem.
 
@@ -39,6 +42,7 @@ from functools import lru_cache
 import numpy as np
 
 from .bulk import checked_indices
+from .classify import SetSpec
 
 # Transition-table entries (states × p) any one prime power may use.  It
 # admits every prime power below 64 except 32 and 49.  The start states Q·P^r
@@ -48,8 +52,9 @@ from .bulk import checked_indices
 # the S^d in the matrices; a matvec sums D products below p**(2a), and the
 # pre-check keeps p**(2a) · D <= 4096² · 66, far inside int64.  Every prime
 # power that fits passes it (27 is the largest, at 243); those it lets through
-# that do not fit, such as 64, 81, 125 and the primes above 61, outgrow the
-# cap during their builds (2-vCPU Xeon: 20 ms mod 64, 0.2 s mod 4093).
+# that do not fit, 64, 81, 125 and the primes 67 to 79, outgrow the cap during
+# their builds (2-vCPU Xeon: 20 ms mod 64).  Every prime from 83 up is refused
+# by _one_digit_outputs before any matrix is built (under 5 ms mod 4093).
 MAX_TABLE_ENTRIES = 4096
 
 # A table over base p**k reads k base-p digits per gather; k is the largest
@@ -70,10 +75,10 @@ class StateCapError(ValueError):
 @dataclass(frozen=True)
 class _Automaton:
     base: int             # p**k: each step reads k base-p digits of q
-    shift: int            # p**(a - 1): n = r + shift*q, r picks the start state
+    shift: int            # len(start), p**(a - 1) for M(n) mod p**a: n = r + shift*q
     start: np.ndarray     # start[r], an int16 state index
     table: np.ndarray     # table[state, digit], an int16 state index
-    output: np.ndarray    # output[state] = CT[R] mod p**a
+    output: np.ndarray    # output[state]: CT[R] mod p**a, or 1 on a family's members
 
     def residue(self, n: int) -> int:
         q, r = divmod(n, self.shift)
@@ -87,9 +92,10 @@ class _Automaton:
         q, r = np.divmod(indices, self.shift)
         states = self.start[r]
         top = int(q.max()) if q.size else 0
+        digits = np.empty_like(q)  # reused: two fresh arrays per digit cost a fifth of a chunk
         while top:
             top //= self.base
-            q, digits = np.divmod(q, self.base)
+            np.divmod(q, self.base, out=(q, digits))
             states = self.table[states, digits]
         return self.output[states]
 
@@ -119,42 +125,105 @@ def _digit_matrices(p: int, a: int) -> "tuple[np.ndarray, np.ndarray]":
     return starts, matrices
 
 
+def _digit_machine(base: int, starts: list, successors, output) -> "_Automaton | None":
+    """The table of the hashable states ``successors`` reaches from ``starts``, in BFS order.
+
+    ``successors(state)`` lists the states digits 0, ..., base - 1 lead to;
+    ``output(state)`` is its answer.  None past MAX_TABLE_ENTRIES // base states.
+    """
+    index: "dict[object, int]" = {}
+    states: list = []
+
+    def intern(state) -> int:
+        if state not in index:
+            index[state] = len(states)
+            states.append(state)
+        return index[state]
+
+    start = np.array([intern(state) for state in starts], dtype=np.int16)
+    rows = []
+    while len(rows) < len(states) <= MAX_TABLE_ENTRIES // base:
+        rows.append([intern(state) for state in successors(states[len(rows)])])
+    if len(states) > MAX_TABLE_ENTRIES // base:
+        return None
+    # Compose the one-digit table with itself: column d + base*D of the next
+    # table is column D of the last one, read from the state digit d leads to.
+    one_digit = table = np.array(rows, dtype=np.int16)
+    while table.size * base <= MAX_GATHER_ENTRIES:
+        table = table[one_digit].transpose(0, 2, 1).reshape(len(states), -1)
+    machine = _Automaton(table.shape[1], len(starts), start, table,
+                         np.array([output(state) for state in states], dtype=np.int64))
+    for array in (machine.start, machine.table, machine.output):
+        array.flags.writeable = False
+    return machine
+
+
 @lru_cache(maxsize=None)
 def _automaton(p: int, a: int) -> _Automaton:
     if (p, a) in _REFUSED:
         raise StateCapError(_REFUSED[p, a])
     modulus, shift = p**a, p ** (a - 1)
-    max_states = MAX_TABLE_ENTRIES // p
-    starts, matrices = _digit_matrices(p, a)
-    index: "dict[bytes, int]" = {}
-    states: "list[np.ndarray]" = []
+    machine = None
+    if a > 1 or _one_digit_outputs(p) <= MAX_TABLE_ENTRIES // p:
+        starts, matrices = _digit_matrices(p, a)
+        machine = _digit_machine(
+            p, [vector.tobytes() for vector in starts],
+            lambda key: [v.tobytes() for v in matrices @ np.frombuffer(key, np.int64) % modulus],
+            lambda key: np.frombuffer(key, np.int64)[shift])
+    if machine is None:
+        _REFUSED[p, a] = (f"the automaton mod {p}^{a} has more than {MAX_TABLE_ENTRIES // p} "
+                          f"states, over the cap of {MAX_TABLE_ENTRIES} table entries")
+        raise StateCapError(_REFUSED[p, a])
+    return machine
 
-    def intern(vector: np.ndarray) -> int:
-        key = vector.tobytes()
-        if key not in index:
-            if len(states) == max_states:
-                _REFUSED[p, a] = (f"the automaton mod {p}^{a} has more than {max_states} "
-                                  f"states, over the cap of {MAX_TABLE_ENTRIES} table entries")
-                raise StateCapError(_REFUSED[p, a])
-            index[key] = len(states)
-            states.append(vector)
-        return index[key]
 
-    start = np.array([intern(vector) for vector in starts], dtype=np.int16)
-    rows = []
-    while len(rows) < len(states):
-        rows.append([intern(vector) for vector in matrices @ states[len(rows)] % modulus])
-    output = np.array([vector[shift] for vector in states], dtype=np.int64)
-    # Compose the one-digit table with itself: column d + p*D of the next
-    # table is column D of the last one, read from the state digit d leads to.
-    one_digit = table = np.array(rows, dtype=np.int16)
-    while table.size * p <= MAX_GATHER_ENTRIES:
-        table = table[one_digit].transpose(0, 2, 1).reshape(len(states), -1)
-    automaton = _Automaton(base=table.shape[1], shift=shift,
-                           start=start, table=table, output=output)
-    for array in (automaton.start, automaton.table, automaton.output):
-        array.flags.writeable = False
-    return automaton
+def _one_digit_outputs(p: int) -> int:
+    """#{M(d) mod p : d <= p - 3}, a lower bound on the states of the table mod p.
+
+    The state digit d leads to from the start outputs M(d) mod p.  The
+    recurrence (d + 2)M(d) = (2d + 1)M(d - 1) + 3(d - 1)M(d - 2) runs mod p
+    while d + 2 < p is invertible: O(p) steps, no matrix built.
+    """
+    values, previous, current = {1}, 0, 1
+    for d in range(1, p - 2):
+        step = (2 * d + 1) * current + 3 * (d - 1) * previous
+        previous, current = current, step * pow(d + 2, -1, p) % p
+        values.add(current)
+    return len(values)
+
+
+@lru_cache(maxsize=None)
+def _spec_machine(spec: SetSpec) -> _Automaton:
+    """Outputs 1 on the members n of ``spec``, read off the base-b digits of n.
+
+    It adds -shift to n as it reads: a state is (carry, zeros), zeros the zero
+    digits of n - shift so far (capped, but kept mod exp_step), until the first
+    nonzero one decides membership for good.  A state outputs its answer if the
+    digits left are zeros.  Shifts lie in (-b, 0]: a positive one needs a borrow.
+    """
+    if not -spec.base < spec.shift <= 0:
+        raise ValueError(f"spec machines read shifts in (-base, 0], got {spec.shift}")
+    top = spec.first_exponent + spec.exp_step
+
+    def after(state, digit: int):
+        if isinstance(state, bool):
+            return state
+        carry, zeros = state
+        carry, digit = divmod(carry + digit, spec.base)
+        if digit:
+            return (digit == spec.residue and zeros >= spec.first_exponent
+                    and (zeros - spec.exp_offset) % spec.exp_step == 0)
+        return carry, (zeros + 1 if zeros + 1 < top else zeros + 1 - spec.exp_step)
+
+    return _digit_machine(spec.base, [(-spec.shift, 0)],
+                          lambda state: [after(state, d) for d in range(spec.base)],
+                          lambda state: after(state, 0) is True)
+
+
+@lru_cache(maxsize=None)
+def _t01_machine() -> _Automaton:
+    """Outputs 1 where every base-3 digit of n is 0 or 1: a digit 2 leaves the start for good."""
+    return _digit_machine(3, [True], lambda ok: [ok, ok, False], int)
 
 
 def _integer(value, name: str) -> int:

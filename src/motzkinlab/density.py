@@ -18,9 +18,9 @@ other so they can cross-check:
   The zero-one count reads base-3**9 chunks the same way.  The tables are
   built on first use; importing the module builds none,
 * counts obtained by streaming every index (:func:`count_class_in_range`),
-  the O(N) cross-check on the exact counters: each residue class from
-  M(n) mod m itself through the residue automaton, each index family
-  through its digit kernel; plus residue counts from the modular stream
+  the O(N) cross-check on the exact counters: each residue class through
+  the automaton of M(n) mod m itself, each index family through a digit
+  machine of its own; plus residue counts from the modular stream
   (:func:`empirical_residue_distribution`).
 
 Each class label has one entry in an ordered registry that holds its
@@ -293,14 +293,13 @@ def _t01_ceiling(n_max: int) -> int:
 class _ClassEntry(NamedTuple):
     """Everything the density lab knows about one residue class.
 
-    ``count`` counts the members in one int64 chunk of indices, looked up
-    on the module at call time: from the automaton's residues M(n) mod m
-    for the nine residue classes, through a :mod:`motzkinlab.bulk` kernel
-    for the index families (``eps*_delta*``, ``div5_form*``, ``t01``);
-    ``exact(n_max)`` is one call for (members in [0, n_max], a bound on
-    |that count - n_max * limit|), in O(log n_max) steps and for any
-    n_max >= -1.  ``count`` shares no code with ``exact``, so the sweep
-    checks it.
+    ``count`` counts the members in one int64 chunk of indices through a
+    digit machine (:func:`_swept`): the automaton of M(n) mod m for the nine
+    residue classes, a machine of its own for each index family
+    (``eps*_delta*``, ``div5_form*``, ``t01``); ``exact(n_max)`` is one call
+    for (members in [0, n_max], a bound on |that count - n_max * limit|), in
+    O(log n_max) steps and for any n_max >= -1.  ``count`` shares no code
+    with ``exact``, so the sweep checks it.
     """
 
     limit: Fraction
@@ -336,15 +335,19 @@ def _spec_union(specs, count: "Callable[[np.ndarray], int]") -> _ClassEntry:
     return _ClassEntry(limit=sum(map(set_density, specs), Fraction(0)), count=count, exact=exact)
 
 
+def _swept(accepted: int, machine, *args) -> "Callable[[np.ndarray], int]":
+    """Counts the indices where ``machine(*args)``, built on first use, outputs ``accepted``."""
+    return lambda arr: int(np.count_nonzero(machine(*args).residues(arr) == accepted))
+
+
 def _family(spec: SetSpec) -> _ClassEntry:
-    """Entry for one SetSpec index family, its chunks counted by ``bulk.in_set_mask``."""
-    return _spec_union([spec], lambda arr: int(np.count_nonzero(bulk.in_set_mask(arr, spec))))
+    """Entry for one SetSpec index family, its chunks swept by its digit machine."""
+    return _spec_union([spec], _swept(1, automaton._spec_machine, spec))
 
 
 def _residue_count(modulus: int, value: int) -> "Callable[[np.ndarray], int]":
-    """Chunk counter for the indices n with M(n) = value mod ``modulus``."""
-    return lambda arr: int(np.count_nonzero(
-        automaton.motzkin_mod_indices(modulus, arr) == value))
+    """Chunk counter for the indices n with M(n) = value mod ``modulus``, a prime power."""
+    return _swept(value, automaton._automaton, *automaton._prime_powers(modulus)[0])
 
 
 def _even_popcounts_below(k: int) -> int:
@@ -378,7 +381,7 @@ def _build_registry() -> "dict[str, _ClassEntry]":
     Limits and (count, bound) pairs of spec unions are derived from their
     specs; the mod8=2 and mod8=6 halves, mod 3 and zero-one entries state
     theirs.  Every residue class counts its chunks from M(n) mod m, each
-    index family from its mask.  The test suite checks every limit against
+    index family from its own machine.  The test suite checks every limit against
     hand-computed rationals and every exact counter against the sweep.
     """
     mod8 = MOD8_CLASS_SPECS
@@ -424,7 +427,7 @@ def _build_registry() -> "dict[str, _ClassEntry]":
     for form, spec in enumerate(DIV5_FORM_SPECS, start=1):
         registry[f"div5_form{form}"] = _family(spec)
     registry["t01"] = _ClassEntry(
-        Fraction(0), lambda arr: int(np.count_nonzero(bulk.t01_mask(arr))),
+        Fraction(0), _swept(1, automaton._t01_machine),
         lambda n_max: (count_t01_upto(n_max), _t01_ceiling(n_max)))
     return registry
 
@@ -452,14 +455,15 @@ def density_limit(selector) -> Fraction:
 
 
 def count_class_in_range(selector, lo: int, hi: int) -> int:
-    """Class members with lo <= n < hi, streamed through the class's chunk count.
+    """Class members with lo <= n < hi, streamed through the class's digit machine.
 
     O(hi - lo) and capped at ``bulk.MAX_INDEX``: the independent cross-check
-    on the exact counters that :func:`empirical_density` reports.  It counts
-    every residue class (``even``, ``mod8=*``, ``mod4=2``, ``mod3=*``,
-    ``div5``) from M(n) mod m itself, and each index family through its
-    :mod:`motzkinlab.bulk` mask.
+    on the exact counters that :func:`empirical_density` reports.  Each
+    chunk goes through one digit machine: M(n) mod m itself for every
+    residue class (``even``, ``mod8=*``, ``mod4=2``, ``mod3=*``, ``div5``),
+    each index family's own.  ``lo`` and ``hi`` must be integers.
     """
+    lo, hi = automaton._integer(lo, "lo"), automaton._integer(hi, "hi")
     if not 0 <= lo <= hi:
         raise ValueError(f"need 0 <= lo <= hi, got [{lo}, {hi})")
     if hi > bulk.MAX_INDEX:
@@ -504,6 +508,7 @@ def empirical_density(selector, horizon: int) -> DensityReport:
     no Motzkin number is computed and no index is swept, so any horizon is
     fine.  :func:`count_class_in_range` gives the same integer the slow way.
     """
+    horizon = automaton._integer(horizon, "horizon")
     if horizon < 1:
         raise ValueError(f"horizon must be at least 1, got {horizon}")
     entry = _entry(selector)

@@ -17,7 +17,17 @@ from motzkinlab.automaton import (
     motzkin_mod_indices,
 )
 from motzkinlab.bulk import MAX_INDEX
-from motzkinlab.classify import classify_div5, classify_mod3, classify_mod8
+from motzkinlab.checks import SUPPORTED_MODULI, predicted_residue, prediction_matches
+from motzkinlab.classify import (
+    DIV5_FORM_SPECS,
+    MOD8_CLASS_SPECS,
+    SetSpec,
+    classify_div5,
+    classify_mod3,
+    classify_mod8,
+    is_in_set,
+    is_t01,
+)
 from motzkinlab.engines import iter_motzkin_exact
 
 from conftest import motzkin_convolution_oracle
@@ -29,6 +39,12 @@ PRIMES_TO_125 = [p for p in range(2, 126) if all(p % d for d in range(2, p))]
 # (q, p, a) for every prime power q = p**a up to 125.
 PRIME_POWERS_TO_125 = [(p**a, p, a) for p in PRIMES_TO_125
                        for a in range(1, 8) if p**a <= 125]
+# The 24 served prime powers and their states.
+SERVED_STATES = {2: 5, 4: 25, 8: 125, 16: 794, 3: 6, 9: 46, 27: 477, 5: 10, 25: 414,
+                 7: 10, 11: 16, 13: 16, 17: 22, 19: 22, 23: 28, 29: 34, 31: 34,
+                 37: 40, 41: 46, 43: 46, 47: 52, 53: 58, 59: 64, 61: 64}
+SERVED = [(q, p, a) for q, p, a in PRIME_POWERS_TO_125 if q in SERVED_STATES]
+SPECS = list(MOD8_CLASS_SPECS.values()) + list(DIV5_FORM_SPECS)
 
 
 @pytest.fixture(scope="module")
@@ -200,13 +216,28 @@ class TestStateCap:
         assert automaton.MAX_TABLE_ENTRIES == 4096
         for modulus in (27, 61, 63):
             assert motzkin_mod_at(0, modulus) == 1
-        states = {2: 5, 4: 25, 8: 125, 16: 794, 3: 6, 9: 46, 27: 477, 5: 10, 25: 414,
-                  7: 10, 11: 16, 13: 16, 17: 22, 19: 22, 23: 28, 29: 34, 31: 34,
-                  37: 40, 41: 46, 43: 46, 47: 52, 53: 58, 59: 64, 61: 64}
-        served = [(q, p, a) for q, p, a in PRIME_POWERS_TO_125 if q in states]
-        assert len(served) == len(states) == 24
-        entries = {q: len(automaton._automaton(p, a).output) * p for q, p, a in served}
-        assert entries == {q: states[q] * p for q, p, a in served}
+        assert len(SERVED) == len(SERVED_STATES) == 24
+        entries = {q: len(automaton._automaton(p, a).output) * p for q, p, a in SERVED}
+        assert entries == {q: SERVED_STATES[q] * p for q, p, a in SERVED}
+
+    def test_primes_over_the_cap_build_no_matrix(self, monkeypatch):
+        """From 83 up, the distinct M(d) mod p alone pass the cap: no matrix is built."""
+        monkeypatch.setattr(automaton, "_REFUSED", {})
+        built = []
+        real_matrices = automaton._digit_matrices
+        monkeypatch.setattr(automaton, "_digit_matrices",
+                            lambda *args: built.append(args) or real_matrices(*args))
+        for p in (67, 83, 97, 997, 4093):
+            with pytest.raises(StateCapError, match=(
+                    f"^the automaton mod {p}\\^1 has more than {4096 // p} states, "
+                    "over the cap of 4096 table entries$")):
+                motzkin_mod_at(0, p)
+        assert built == [(67, 1)]
+
+    def test_the_one_digit_bound_is_sound(self):
+        for q, p, a in SERVED:
+            if a == 1:
+                assert automaton._one_digit_outputs(p) <= SERVED_STATES[p]
 
     def test_refused_below_64(self):
         refused = set()
@@ -225,8 +256,107 @@ class TestStateCap:
 
     def test_import_builds_nothing(self):
         code = ("import motzkinlab, motzkinlab.cli, motzkinlab.automaton as a; "
-                "print(a._automaton.cache_info().currsize)")
+                "print([f.cache_info().currsize for f in "
+                "(a._automaton, a._spec_machine, a._t01_machine)])")
         env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                              text=True, check=True).stdout
-        assert out == "0\n"
+        assert out == "[0, 0, 0]\n"
+
+
+def test_zero_digits_keep_the_output():
+    """residue and residues stop at the top digit: reading a zero must change no output."""
+    machines = ([automaton._automaton(p, a) for _, p, a in SERVED]
+                + [automaton._spec_machine(spec) for spec in SPECS]
+                + [automaton._t01_machine()])
+    for machine in machines:
+        assert np.array_equal(machine.output[machine.table[:, 0]], machine.output)
+
+
+def window(start: int, length: int) -> np.ndarray:
+    return np.arange(start, start + length, dtype=np.int64)
+
+
+def members(machine, arr: np.ndarray) -> "list[bool]":
+    return (machine.residues(arr) == 1).tolist()
+
+
+def assert_machines_match_scalars(indices) -> None:
+    """Every family machine against the scalar classifiers, and those against M(n) mod m."""
+    arr = np.array(indices, dtype=np.int64)
+    residues = {m: motzkin_mod_indices(m, arr).tolist() for m in SUPPORTED_MODULI}
+    t01 = members(automaton._t01_machine(), arr)
+    masks = [members(automaton._spec_machine(spec), arr) for spec in SPECS]
+    for offset, n in enumerate(indices):
+        for m in SUPPORTED_MODULI:
+            assert prediction_matches(m, predicted_residue(m, n), residues[m][offset]), (m, n)
+        assert_masks_name_div5_form(masks[len(MOD8_CLASS_SPECS):], offset, n)
+        assert t01[offset] == is_t01(n)
+        for spec, mask in zip(SPECS, masks):
+            assert mask[offset] == (is_in_set(n, spec) is not None)
+
+
+def assert_masks_name_div5_form(masks, offset: int, n: int) -> None:
+    """The DIV5_FORM_SPECS masks at ``offset`` name classify_div5(n).form, or none."""
+    named = [form for form, mask in enumerate(masks, start=1) if mask[offset]]
+    form = classify_div5(n).form
+    assert named == ([form] if form else [])
+
+
+class TestFamilyMachines:
+    """The digit machines that sweep the index families and the zero-one numbers."""
+
+    def test_div5_prefix(self):
+        arr = window(0, 4000)
+        masks = [members(automaton._spec_machine(spec), arr) for spec in DIV5_FORM_SPECS]
+        for n in range(4000):
+            assert_masks_name_div5_form(masks, n, n)
+
+    def test_t01_prefix(self):
+        assert members(automaton._t01_machine(), window(0, 4000)) == \
+            [is_t01(n) for n in range(4000)]
+
+    def test_in_set_prefix(self):
+        for spec in SPECS:
+            assert members(automaton._spec_machine(spec), window(0, 4000)) == \
+                [is_in_set(n, spec) is not None for n in range(4000)], spec
+
+    def test_states(self):
+        """4 to 6 states each: the carry and the zero count until the first nonzero digit."""
+        states = [len(automaton._spec_machine(spec).output) for spec in SPECS]
+        assert states == [4, 4, 4, 4, 6, 5, 5, 6]
+        t01 = automaton._t01_machine()
+        assert (len(t01.output), t01.base) == (2, 3**9)
+
+    def test_shift_zero_and_positive_shift(self):
+        spec = SetSpec(base=3, residue=2, exp_step=2, exp_offset=1)
+        assert members(automaton._spec_machine(spec), window(0, 2000)) == \
+            [is_in_set(n, spec) is not None for n in range(2000)]
+        with pytest.raises(ValueError, match="shifts in"):
+            automaton._spec_machine(SetSpec(base=4, residue=1, exp_step=1, exp_offset=0, shift=1))
+
+    @settings(deadline=None, max_examples=40)
+    @given(
+        start=st.integers(min_value=0, max_value=10**12),
+        length=st.integers(min_value=1, max_value=200),
+    )
+    def test_random_windows(self, start, length):
+        assert_machines_match_scalars(list(range(start, start + length)))
+
+    # Scattered indices: 0, small values, values near MAX_INDEX, and the
+    # boundaries of witness families, where n + delta gains a digit, so both
+    # classes appear at every scale (2·3^k is the one base-3 digit 2, in the
+    # top place).
+    _FAMILY_MEMBERS = sorted({v for k in range(40) for v in (
+        4**k - 1, 4**k - 2, 2 * 5**k - 1, 3 * 5**k - 2, 3**k, (3**k - 1) // 2, 2 * 3**k)
+        if 0 <= v <= MAX_INDEX})
+
+    @settings(deadline=None, max_examples=60)
+    @given(st.lists(st.one_of(
+        st.just(0),
+        st.integers(min_value=1, max_value=1000),
+        st.integers(min_value=MAX_INDEX - 10**6, max_value=MAX_INDEX),
+        st.sampled_from(_FAMILY_MEMBERS),
+    ), min_size=1, max_size=60))
+    def test_scattered_indices(self, indices):
+        assert_machines_match_scalars(indices)

@@ -4,6 +4,7 @@ import time
 from fractions import Fraction
 from functools import lru_cache
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -425,7 +426,7 @@ class TestEmpiricalDensity:
         assert report.abs_discrepancy == pytest.approx(float(expected))
 
     def test_spec_counts_match_count_set_exact(self):
-        # The digit-kernel sweep against the exact counters, from 0 and on
+        # The digit-machine sweep against the exact counters, from 0 and on
         # windows far past those the scalar-classifier comparisons reach.
         windows = [(2**62, 2**62 + 2**16), (MAX_INDEX - 3000, MAX_INDEX)]
         for label, specs in SPEC_UNIONS.items():
@@ -478,8 +479,23 @@ class TestEmpiricalDensity:
         with pytest.raises(ValueError):
             count_class_in_range("even", 5, 4)
 
+    @pytest.mark.parametrize("call, name", [
+        (lambda: empirical_density("mod8=2", 1000.0), "horizon"),
+        (lambda: empirical_density("div5", 1000.0), "horizon"),
+        (lambda: count_class_in_range("even", 0, 10.5), "hi"),
+        (lambda: count_class_in_range("t01", 0.0, 10), "lo"),
+    ], ids=["float horizon, popcounts", "float horizon, table", "float hi", "float lo"])
+    def test_non_integers_are_named(self, call, name):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+            call()
 
-# Horizons where the exact counters meet the digit-kernel sweep, in
+    def test_numpy_integers_are_accepted(self):
+        expected = empirical_density("mod8=2", 1000).observed_count
+        assert empirical_density("mod8=2", np.int64(1000)).observed_count == expected
+        assert count_class_in_range("mod8=2", np.uint8(0), np.int32(1000)) == expected
+
+
+# Horizons where the exact counters meet the digit-machine sweep, in
 # increasing order; the scalar classifiers join them up to SCALAR_HORIZON,
 # past which they would take minutes.
 EXACT_HORIZONS = (1, 2, 3, 4, 5, 7, 8, 100, 12345, 3**9, 10**5, 10**6)
