@@ -8,15 +8,19 @@ Laurent polynomial R and q = p·q′ + d,
 
     CT[R·S^q] ≡ CT[Λ(R·S^d)·S^q′]  (mod p^a),
 
-where Λ keeps the exponents divisible by p and divides them by p.  With
-n = r + s·q, r < s, the automaton starts at R = Q·P^r mod p^a, reads the
-base-p digits of q from the least significant end with R ↦ Λ(R·S^d) mod p^a,
-and outputs CT[R].  A zero digit maps R to Λ(R), which has the same constant
-term, so leading zeros change nothing.  Every such R lies in the exponent
-window [−s, s + 1], where the step is linear: digit d is one D×D matrix A_d
-over Z/p^a, D = 2s + 2 (a linear representation; Allouche–Shallit 2003).
-The states, finitely many, are the vectors the A_d reach from the starts.
-The kept table reads k digits a step: the one-digit table composed k times.
+where Λ keeps the exponents divisible by p and divides them by p.  The
+automaton starts in one state and reads the base-p digits of n from the
+least significant end.  The low a − 1 digits lead through prefix states
+(k, r), "k digits read, and they are worth r", which output M(r) mod p^a;
+the next one leads to R = Q·P^r mod p^a, r < s, so that n = r + s·q.  Each
+digit d of q then maps R ↦ Λ(R·S^d) mod p^a, and a state R outputs CT[R].
+A zero digit keeps the output: it maps R to Λ(R), which has the same
+constant term, and a prefix (k, r) to (k + 1, r) or to Q·P^r, so leading
+zeros change nothing.  Every such R lies in the exponent window
+[−s, s + 1], where the step is linear: digit d is one D×D matrix A_d over
+Z/p^a, D = 2s + 2 (a linear representation; Allouche–Shallit 2003).  The
+states, finitely many, are the prefixes and the vectors the A_d reach from
+the Q·P^r.  The kept table reads k digits a step: the one-digit table composed k times.
 One builder, :func:`_digit_machine`, makes these tables and the machines
 that sweep the index families and the zero-one numbers for density.
 
@@ -45,10 +49,10 @@ from .bulk import checked_indices
 from .classify import SetSpec
 
 # Transition-table entries (states × p) any one prime power may use.  It
-# admits every prime power below 64 except 32 and 49.  The start states Q·P^r
+# admits every prime power below 64 except 32 and 49.  The states Q·P^r, r < s,
 # have distinct lowest exponents -r, so a table holds at least p**a entries.
 # The pre-check is stricter: it refuses p**(2a - 1) over the cap.  A build
-# costs states · p matvecs of size D², O(s²) for the starts and O(p**(2a)) for
+# costs states · p matvecs of size D², O(s²) for the Q·P^r and O(p**(2a)) for
 # the S^d in the matrices; a matvec sums D products below p**(2a), and the
 # pre-check keeps p**(2a) · D <= 4096² · 66, far inside int64.  Every prime
 # power that fits passes it (27 is the largest, at 243); those it lets through
@@ -74,28 +78,25 @@ class StateCapError(ValueError):
 
 @dataclass(frozen=True)
 class _Automaton:
-    base: int             # p**k: each step reads k base-p digits of q
-    shift: int            # len(start), p**(a - 1) for M(n) mod p**a: n = r + shift*q
-    start: np.ndarray     # start[r], an int16 state index
-    table: np.ndarray     # table[state, digit], an int16 state index
-    output: np.ndarray    # output[state]: CT[R] mod p**a, or 1 on a family's members
+    base: int             # p**k: each step reads k base-p digits of n
+    table: np.ndarray     # table[state, digit], an int16 state index; state 0 starts
+    output: np.ndarray    # output[state]: CT[R] or M(r) mod p**a, or 1 on a family's members
 
     def residue(self, n: int) -> int:
-        q, r = divmod(n, self.shift)
-        state = int(self.start[r])
-        while q:
-            q, digit = divmod(q, self.base)
+        state = 0
+        while n:
+            n, digit = divmod(n, self.base)
             state = int(self.table[state, digit])
         return int(self.output[state])
 
     def residues(self, indices: np.ndarray) -> np.ndarray:
-        q, r = np.divmod(indices, self.shift)
-        states = self.start[r]
-        top = int(q.max()) if q.size else 0
-        digits = np.empty_like(q)  # reused: two fresh arrays per digit cost a fifth of a chunk
+        n = indices.copy()  # divided in place
+        states = np.zeros(n.shape, dtype=np.int16)
+        top = int(n.max()) if n.size else 0
+        digits = np.empty_like(n)  # reused: two fresh arrays per digit cost a fifth of a chunk
         while top:
             top //= self.base
-            np.divmod(q, self.base, out=(q, digits))
+            np.divmod(n, self.base, out=(n, digits))
             states = self.table[states, digits]
         return self.output[states]
 
@@ -125,11 +126,12 @@ def _digit_matrices(p: int, a: int) -> "tuple[np.ndarray, np.ndarray]":
     return starts, matrices
 
 
-def _digit_machine(base: int, starts: list, successors, output) -> "_Automaton | None":
-    """The table of the hashable states ``successors`` reaches from ``starts``, in BFS order.
+def _digit_machine(base: int, start, successors, output) -> "_Automaton | None":
+    """The table of the hashable states ``successors`` reaches from ``start``, in BFS order.
 
-    ``successors(state)`` lists the states digits 0, ..., base - 1 lead to;
-    ``output(state)`` is its answer.  None past MAX_TABLE_ENTRIES // base states.
+    State 0 is ``start``; ``successors(state)`` lists the states digits
+    0, ..., base - 1 lead to, and ``output(state)`` is its answer.  None
+    past MAX_TABLE_ENTRIES // base states.
     """
     index: "dict[object, int]" = {}
     states: list = []
@@ -140,7 +142,7 @@ def _digit_machine(base: int, starts: list, successors, output) -> "_Automaton |
             states.append(state)
         return index[state]
 
-    start = np.array([intern(state) for state in starts], dtype=np.int16)
+    intern(start)
     rows = []
     while len(rows) < len(states) <= MAX_TABLE_ENTRIES // base:
         rows.append([intern(state) for state in successors(states[len(rows)])])
@@ -151,9 +153,9 @@ def _digit_machine(base: int, starts: list, successors, output) -> "_Automaton |
     one_digit = table = np.array(rows, dtype=np.int16)
     while table.size * base <= MAX_GATHER_ENTRIES:
         table = table[one_digit].transpose(0, 2, 1).reshape(len(states), -1)
-    machine = _Automaton(table.shape[1], len(starts), start, table,
+    machine = _Automaton(table.shape[1], table,
                          np.array([output(state) for state in states], dtype=np.int64))
-    for array in (machine.start, machine.table, machine.output):
+    for array in (machine.table, machine.output):
         array.flags.writeable = False
     return machine
 
@@ -166,10 +168,21 @@ def _automaton(p: int, a: int) -> _Automaton:
     machine = None
     if a > 1 or _one_digit_outputs(p) <= MAX_TABLE_ENTRIES // p:
         starts, matrices = _digit_matrices(p, a)
-        machine = _digit_machine(
-            p, [vector.tobytes() for vector in starts],
-            lambda key: [v.tobytes() for v in matrices @ np.frombuffer(key, np.int64) % modulus],
-            lambda key: np.frombuffer(key, np.int64)[shift])
+
+        def state(k: int, r: int):
+            """After k low digits worth r: a prefix (k, r) below a - 1 digits, then Q·P^r."""
+            return (k, r) if k < a - 1 else starts[r].tobytes()
+
+        def successors(key):
+            if isinstance(key, tuple):
+                return [state(key[0] + 1, key[1] + d * p ** key[0]) for d in range(p)]
+            return [v.tobytes() for v in matrices @ np.frombuffer(key, np.int64) % modulus]
+
+        def output(key):
+            vector = starts[key[1]] if isinstance(key, tuple) else np.frombuffer(key, np.int64)
+            return vector[shift]
+
+        machine = _digit_machine(p, state(0, 0), successors, output)
     if machine is None:
         _REFUSED[p, a] = (f"the automaton mod {p}^{a} has more than {MAX_TABLE_ENTRIES // p} "
                           f"states, over the cap of {MAX_TABLE_ENTRIES} table entries")
@@ -215,7 +228,7 @@ def _spec_machine(spec: SetSpec) -> _Automaton:
                     and (zeros - spec.exp_offset) % spec.exp_step == 0)
         return carry, (zeros + 1 if zeros + 1 < top else zeros + 1 - spec.exp_step)
 
-    return _digit_machine(spec.base, [(-spec.shift, 0)],
+    return _digit_machine(spec.base, (-spec.shift, 0),
                           lambda state: [after(state, d) for d in range(spec.base)],
                           lambda state: after(state, 0) is True)
 
@@ -223,7 +236,7 @@ def _spec_machine(spec: SetSpec) -> _Automaton:
 @lru_cache(maxsize=None)
 def _t01_machine() -> _Automaton:
     """Outputs 1 where every base-3 digit of n is 0 or 1: a digit 2 leaves the start for good."""
-    return _digit_machine(3, [True], lambda ok: [ok, ok, False], int)
+    return _digit_machine(3, True, lambda ok: [ok, ok, False], int)
 
 
 def _integer(value, name: str) -> int:

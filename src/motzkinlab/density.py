@@ -198,6 +198,8 @@ def count_set_exact(n_max: int, spec: SetSpec) -> int:
     each.  A negative shift can push a few low-i members below zero;
     subtracting the count at -1 removes them.
     """
+    if type(n_max) is not int:
+        n_max = automaton._integer(n_max, "n_max")
     if n_max < 0:
         return 0
     total = _count_members_at_most(n_max, spec)
@@ -225,6 +227,7 @@ def count_error_bound(n_max: int, spec: SetSpec) -> Fraction:
     shifts at least base**(smallest exponent), so it vanishes for every
     classifier spec.  The tests check the bound against brute-force counts.
     """
+    n_max = automaton._integer(n_max, "n_max")
     return Fraction(_bound_numerator(n_max, spec), spec.base)
 
 
@@ -251,6 +254,8 @@ def count_t01_upto(n_max: int) -> int:
     and sets every bit below them.  So a 4300-digit n_max costs about
     1000 lookups and divisions by 3**9.
     """
+    if type(n_max) is not int:
+        n_max = automaton._integer(n_max, "n_max")
     if n_max < 0:
         return 0
     size, bits, entries = _t01_table()
@@ -529,6 +534,7 @@ def empirical_residue_distribution(modulus: int,
     The residues come from the modular stream, so the engine ceiling
     applies.
     """
+    horizon = automaton._integer(horizon, "horizon")
     stream = motzkin_mod_stream(modulus, horizon)
     counts = np.bincount(stream.values, minlength=modulus).tolist()
     return [(residue, count, count / horizon) for residue, count in enumerate(counts)]

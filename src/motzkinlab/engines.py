@@ -56,7 +56,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .automaton import StateCapError, motzkin_mod_array
+from .automaton import StateCapError, _integer, motzkin_mod_array
 
 DEFAULT_CEILING = 100_000
 CEILING_ENV_VAR = "MOTZKINLAB_CEILING"
@@ -108,6 +108,7 @@ def motzkin_exact(n: int) -> int:
     t_(k+1) (k + 1)(k + 2) = t_k (n - 2k)(n - 2k - 1) and t_(k+1) is an
     integer; the last numerator is 0, so no value goes negative.
     """
+    n = _integer(n, "index")
     if n < 0:
         raise ValueError(f"index must be non-negative, got {n}")
     ensure_within_ceiling(n, "index")
@@ -143,6 +144,7 @@ def iter_motzkin_exact() -> Iterator[int]:
 
 def motzkin_exact_stream(count: int) -> "list[int]":
     """Return ``[M(0), ..., M(count - 1)]`` via the exact recurrence."""
+    count = _integer(count, "count")
     if count < 1:
         raise ValueError(f"stream length must be at least 1, got {count}")
     ensure_within_ceiling(count, "stream length")
@@ -196,6 +198,7 @@ def motzkin_mod_stream(modulus: int, count: int) -> ResidueStream:
     from an integer raises :class:`FFTRoundingError`, and no residues are
     returned.
     """
+    modulus, count = _integer(modulus, "modulus"), _integer(count, "count")
     if modulus < 2:
         raise ValueError(f"modulus must be at least 2, got {modulus}")
     if count < 1:
@@ -362,6 +365,7 @@ def cross_validate_engines(modulus: int, count: int) -> CrossValidationReport:
     the recurrence; ``first_mismatches`` keeps the first few disagreements,
     one per engine and index, in index order.
     """
+    modulus, count = _integer(modulus, "modulus"), _integer(count, "count")
     streams = [motzkin_mod_stream(modulus, count).values]
     try:
         streams.append(motzkin_mod_array(modulus, count).tolist())

@@ -32,7 +32,7 @@ from motzkinlab.engines import iter_motzkin_exact
 
 from conftest import motzkin_convolution_oracle
 
-PRIME_POWERS = (2, 3, 4, 5, 8, 9, 16, 25)
+PRIME_POWERS = (2, 3, 4, 5, 7, 8, 9, 16, 25, 27)
 SWEEP = 30_000
 HUGE = 10**30
 PRIMES_TO_125 = [p for p in range(2, 126) if all(p % d for d in range(2, p))]
@@ -40,7 +40,7 @@ PRIMES_TO_125 = [p for p in range(2, 126) if all(p % d for d in range(2, p))]
 PRIME_POWERS_TO_125 = [(p**a, p, a) for p in PRIMES_TO_125
                        for a in range(1, 8) if p**a <= 125]
 # The 24 served prime powers and their states.
-SERVED_STATES = {2: 5, 4: 25, 8: 125, 16: 794, 3: 6, 9: 46, 27: 477, 5: 10, 25: 414,
+SERVED_STATES = {2: 5, 4: 26, 8: 128, 16: 801, 3: 6, 9: 47, 27: 481, 5: 10, 25: 415,
                  7: 10, 11: 16, 13: 16, 17: 22, 19: 22, 23: 28, 29: 34, 31: 34,
                  37: 40, 41: 46, 43: 46, 47: 52, 53: 58, 59: 64, 61: 64}
 SERVED = [(q, p, a) for q, p, a in PRIME_POWERS_TO_125 if q in SERVED_STATES]
@@ -153,7 +153,7 @@ class TestDigitMatrices:
 
 
 class TestIndexArrays:
-    @pytest.mark.parametrize("modulus", (2, 3, 4, 5, 8, 9, 25, 72))
+    @pytest.mark.parametrize("modulus", (2, 3, 4, 5, 8, 9, 25, 27, 72))
     @settings(deadline=None, max_examples=25)
     @given(st.lists(st.one_of(
         st.integers(min_value=0, max_value=1000),

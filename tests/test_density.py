@@ -494,6 +494,20 @@ class TestEmpiricalDensity:
         assert empirical_density("mod8=2", np.int64(1000)).observed_count == expected
         assert count_class_in_range("mod8=2", np.uint8(0), np.int32(1000)) == expected
 
+    @pytest.mark.parametrize("call", [
+        lambda n_max: count_set_exact(n_max, MOD8_CLASS_SPECS[(1, 1)]),
+        lambda n_max: count_set_exact(n_max, DIV5_FORM_SPECS[0]),
+        lambda n_max: count_error_bound(n_max, MOD8_CLASS_SPECS[(1, 1)]),
+        count_t01_upto,
+    ], ids=["mod-8 spec", "div-5 spec", "error bound", "t01"])
+    def test_exact_counters_read_integers(self, call):
+        expected = call(1000)
+        for n_max in (np.int64(1000), np.uint16(1000)):
+            value = call(n_max)
+            assert type(value) is type(expected) and value == expected
+        with pytest.raises(ValueError, match="^n_max must be an integer, got 10.5$"):
+            call(10.5)
+
 
 # Horizons where the exact counters meet the digit-machine sweep, in
 # increasing order; the scalar classifiers join them up to SCALAR_HORIZON,

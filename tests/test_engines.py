@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from motzkinlab import engines
 from motzkinlab.automaton import motzkin_mod_array
+from motzkinlab.density import empirical_residue_distribution
 from motzkinlab.engines import (
     CEILING_ENV_VAR,
     CrossValidationReport,
@@ -335,3 +336,37 @@ class TestCrossValidation:
         report = engines.cross_validate_engines(97, 50)  # the stream alone
         assert report.first_mismatch == 0
         assert [n for n, _, _ in report.first_mismatches] == [0, 1, 2, 3, 4]
+
+
+class TestIntegerArguments:
+    """Every engine entry point reads its index, count and modulus through one parser."""
+
+    @pytest.mark.parametrize("call, name", [
+        (lambda: motzkin_exact(10.0), "index"),
+        (lambda: motzkin_exact_stream(2.5), "count"),
+        (lambda: motzkin_mod_stream(8, 10.0), "count"),
+        (lambda: motzkin_mod_stream(8.0, 10), "modulus"),
+        (lambda: cross_validate_engines(8.0, 50), "modulus"),
+        (lambda: empirical_residue_distribution(8.5, 100), "modulus"),
+        (lambda: empirical_residue_distribution(8, 100.0), "horizon"),
+    ], ids=["exact index", "exact count", "stream count", "stream modulus",
+            "cross-validation modulus", "distribution modulus", "distribution horizon"])
+    def test_non_integers_are_named(self, call, name):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
+            call()
+
+    @pytest.mark.parametrize("integer", [np.int64, np.int32, np.uint16],
+                             ids=lambda t: t.__name__)
+    def test_numpy_integers_give_python_ints(self, integer):
+        value = motzkin_exact(integer(60))  # past int64: no numpy overflow
+        assert type(value) is int and value == motzkin_exact(60)
+        stream = motzkin_exact_stream(integer(61))
+        assert stream[-1] == value and all(type(v) is int for v in stream)
+        residues = motzkin_mod_stream(integer(8), integer(100))
+        assert residues == motzkin_mod_stream(8, 100)
+        assert type(residues.modulus) is int and all(type(v) is int for v in residues.values)
+        assert cross_validate_engines(integer(8), integer(50)) == cross_validate_engines(8, 50)
+        rows = empirical_residue_distribution(integer(8), integer(100))
+        assert rows == empirical_residue_distribution(8, 100)
+        assert all(type(ratio) is float for _, _, ratio in rows)
+
