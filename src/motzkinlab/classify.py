@@ -2,7 +2,9 @@
 
 Everything here decides residue classes of M(n) from the base-q structure of
 the index n alone; no Motzkin number is ever computed.  The classifiers
-accept arbitrary-precision indices.
+accept arbitrary-precision indices, and any integer type ``operator.index``
+takes (a numpy int is read as an int); anything else, a float included, is a
+ValueError.
 
 Each scalar classifier costs one :func:`_split` per distinct additive shift
 of its index families (two each for mod 8 and div 5), plus O(1) big-int
@@ -13,8 +15,17 @@ results with ``==``; their identity means nothing.
 """
 
 import enum
+import operator
 from dataclasses import dataclass, field
 from typing import NamedTuple
+
+
+def _integer(value, name: str) -> int:
+    """``value`` as an int; a ValueError naming it unless ``operator.index`` takes it."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 class ValuationDecomposition(NamedTuple):
@@ -43,6 +54,8 @@ def factor_out_base(n: int, base: int) -> ValuationDecomposition:
     Defined for n >= 1 only; every membership predicate below strips its
     additive shift before factoring.
     """
+    if type(n) is not int:
+        n = _integer(n, "n")
     if base < 2:
         raise ValueError(f"base must be at least 2, got {base}")
     if n < 1:
@@ -117,6 +130,8 @@ def is_in_set(n: int, spec: SetSpec) -> "tuple[int, int] | None":
     Witnesses are unique: stripping the shift leaves a number whose
     base-power decomposition pins down both i and j.
     """
+    if type(n) is not int:
+        n = _integer(n, "n")
     shifted = n - spec.shift
     if shifted <= 0:
         return None
@@ -213,6 +228,8 @@ def classify_mod8(n: int) -> Mod8Classification:
     Costs one base-4 :func:`_split` of n + 1 and one of n + 2.  Every ODD
     outcome is the same shared frozen instance.
     """
+    if type(n) is not int:
+        n = _integer(n, "index")
     if n < 0:
         raise ValueError(f"index must be non-negative, got {n}")
     match = None
@@ -236,8 +253,15 @@ def classify_mod8(n: int) -> Mod8Classification:
 
 def is_t01(n: int) -> bool:
     """True when every base-3 digit of n is 0 or 1.  0 qualifies."""
+    if type(n) is not int:
+        n = _integer(n, "index")
     if n < 0:
         raise ValueError(f"index must be non-negative, got {n}")
+    return _is_t01(n)
+
+
+def _is_t01(n: int) -> bool:
+    """:func:`is_t01` for an int n >= 0, unchecked."""
     while n:
         if n % 3 == 2:
             return False
@@ -253,14 +277,16 @@ def classify_mod3(n: int) -> int:
     distinct value of n mod 3, so they are mutually exclusive by
     construction.
     """
+    if type(n) is not int:
+        n = _integer(n, "index")
     if n < 0:
         raise ValueError(f"index must be non-negative, got {n}")
     rem = n % 3
     if rem == 0:
-        return 1 if is_t01(n // 3) else 0
+        return 1 if _is_t01(n // 3) else 0
     if rem == 2:
-        return 2 if is_t01((n + 1) // 3) else 0
-    return 1 if is_t01((n + 2) // 3) else 0
+        return 2 if _is_t01((n + 1) // 3) else 0
+    return 1 if _is_t01((n + 2) // 3) else 0
 
 
 # The four disjoint index families with M(n) divisible by 5.  Forms 2 and 3
@@ -329,6 +355,8 @@ def classify_div5(n: int) -> Div5Classification:
     n + 2 and one of n + 1.  Every not-divisible outcome is the same shared
     frozen instance.
     """
+    if type(n) is not int:
+        n = _integer(n, "index")
     if n < 0:
         raise ValueError(f"index must be non-negative, got {n}")
     found = None

@@ -16,12 +16,14 @@ other so they can cross-check:
   operations; for the div-5 families (base 25) and any other spec whose
   base**exp_step fits MAX_CHUNK_ENTRIES, one lookup per chunk of digits.
   The zero-one count reads base-3**9 chunks the same way.  The tables are
-  built on first use; importing the module builds none,
+  built in pure Python on first use; importing the module builds none, and
+  no exact count loads numpy,
 * counts obtained by streaming every index (:func:`count_class_in_range`),
   the O(N) cross-check on the exact counters: each residue class through
   the automaton of M(n) mod m itself, each index family through a digit
   machine of its own; plus residue counts from the modular stream
-  (:func:`empirical_residue_distribution`).
+  (:func:`empirical_residue_distribution`).  These two import numpy when
+  they run.
 
 Each class label has one entry in an ordered registry that holds its
 limit, its per-chunk count, and one call that returns its exact count
@@ -36,13 +38,14 @@ from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, lru_cache
-from typing import NamedTuple
-
-import numpy as np
+from typing import TYPE_CHECKING, NamedTuple
 
 from . import automaton, bulk
 from .classify import DIV5_FORM_SPECS, MOD8_CLASS_SPECS, SetSpec, is_t01
-from .engines import motzkin_mod_stream
+from .engines import ensure_within_ceiling, motzkin_mod_stream
+
+if TYPE_CHECKING:
+    import numpy as np
 
 _CHUNK = 1 << 20
 
@@ -90,9 +93,10 @@ def _layer_sizes(bound: int, spec: SetSpec):
 # base-B digits per lookup, K the largest with B**K within this: 25**3 for
 # the div-5 specs, 3**9 for zero-one counts.  Each entry fits an int16 (see
 # _legendre_table).  On a shared 2-vCPU Xeon, at 2**15 a table takes about
-# 1 ms to build and at most 64 KiB to keep, and one div-5 spec or zero-one
-# count below 10**30 takes 1.9-2.1 us; at 2**12 that was 2.4-2.8 us, and at
-# 2**20 1.7-1.8 us for 39 ms builds that raised peak memory by 28 MB.
+# 1 ms to build in pure Python (3 ms for the zero-one table) and at most
+# 64 KiB to keep, and one div-5 spec or zero-one count below 10**30 takes
+# 1.9-2.1 us; at 2**12 that was 2.4-2.8 us, and at 2**20 1.7-1.8 us for
+# 39 ms numpy builds that raised peak memory by 28 MB.
 MAX_CHUNK_ENTRIES = 1 << 15
 
 
@@ -114,20 +118,26 @@ def _legendre_table(base: int, exp_step: int, residue: int):
     - sum_p d_p(c)*b**((p - 1) mod s), over the s*K base-b digits d_p of
     each chunk c < B**K.  Both sums lie within K*(B - 1) <= B**K - 1 < 2**15,
     so every entry fits an int16.  None when B exceeds MAX_CHUNK_ENTRIES.
+
+    Both terms depend on p only mod s, so each base-B digit r of c adds the
+    same g[r] wherever it stands: L[c] = L[c // B] + g[c % B], and the
+    table grows from g one base-B digit at a time.
     """
     step = base ** exp_step
     if step > MAX_CHUNK_ENTRIES:
         return None
-    digits = exp_step * _chunk_digits(step)
-    chunk = np.arange(base ** digits, dtype=np.int64)
-    entry = np.zeros_like(chunk)
-    for position in range(digits):
-        chunk, digit = np.divmod(chunk, base)
-        if position % exp_step == 0:
-            entry += (step - 1) * (digit >= residue)
-        entry -= digit * base ** ((position - 1) % exp_step)
-    return (base ** digits, step, base ** (exp_step - 1),
-            array("h", entry.astype(np.int16).tobytes()))
+    digits = _chunk_digits(step)
+    one_digit = []  # g[r]: the s base-b digits of r, at positions 0, ..., s - 1
+    for r in range(step):
+        entry = (step - 1) * (r % base >= residue)
+        for position in range(exp_step):
+            r, digit = divmod(r, base)
+            entry -= digit * base ** ((position - 1) % exp_step)
+        one_digit.append(entry)
+    entries = one_digit
+    for _ in range(digits - 1):
+        entries = [high + low for high in entries for low in one_digit]
+    return step ** digits, step, base ** (exp_step - 1), array("h", entries)
 
 
 def _count_members_at_most(bound: int, spec: SetSpec) -> int:
@@ -276,18 +286,16 @@ def _t01_table():
     """(3**K, K, T) for the base-3**K chunks of :func:`count_t01_upto`.
 
     T[c] is the binary reading of the largest zero-one number <= c, stored
-    complemented (~T[c] < 0) when c has a digit 2.
+    complemented (~T[c] < 0) when c has a digit 2.  With c = 3c' + d, that
+    number is the one for c' followed by d, or by 1 when c' or d has a 2;
+    and since ~(2x + 1) = 2·~x, a complemented T[c'] just doubles.
     """
     bits = _chunk_digits(3)
-    chunk = np.arange(3 ** bits, dtype=np.int64)
-    largest = np.zeros_like(chunk)
-    has_two = np.zeros(chunk.size, dtype=bool)
-    for position in range(bits):
-        chunk, digit = np.divmod(chunk, 3)
-        largest = np.where(digit == 2, (2 << position) - 1, largest | digit << position)
-        has_two |= digit == 2
-    entries = np.where(has_two, ~largest, largest)
-    return 3 ** bits, bits, array("h", entries.astype(np.int16).tobytes())
+    entries = [0]
+    for _ in range(bits):
+        entries = [t << 1 if t < 0 else ~(t << 1 | 1) if d == 2 else t << 1 | d
+                   for t in entries for d in range(3)]
+    return 3 ** bits, bits, array("h", entries)
 
 
 def _t01_ceiling(n_max: int) -> int:
@@ -342,7 +350,11 @@ def _spec_union(specs, count: "Callable[[np.ndarray], int]") -> _ClassEntry:
 
 def _swept(accepted: int, machine, *args) -> "Callable[[np.ndarray], int]":
     """Counts the indices where ``machine(*args)``, built on first use, outputs ``accepted``."""
-    return lambda arr: int(np.count_nonzero(machine(*args).residues(arr) == accepted))
+    def count(arr: "np.ndarray") -> int:
+        import numpy as np
+
+        return int(np.count_nonzero(machine(*args).residues(arr) == accepted))
+    return count
 
 
 def _family(spec: SetSpec) -> _ClassEntry:
@@ -468,6 +480,8 @@ def count_class_in_range(selector, lo: int, hi: int) -> int:
     residue class (``even``, ``mod8=*``, ``mod4=2``, ``mod3=*``, ``div5``),
     each index family's own.  ``lo`` and ``hi`` must be integers.
     """
+    import numpy as np
+
     lo, hi = automaton._integer(lo, "lo"), automaton._integer(hi, "hi")
     if not 0 <= lo <= hi:
         raise ValueError(f"need 0 <= lo <= hi, got [{lo}, {hi})")
@@ -532,9 +546,14 @@ def empirical_residue_distribution(modulus: int,
     """(residue, count, ratio) for M(n) mod modulus over n < horizon.
 
     The residues come from the modular stream, so the engine ceiling
-    applies.
+    applies to the horizon, and to the modulus as the size of the table
+    (one row per residue).
     """
+    import numpy as np
+
     horizon = automaton._integer(horizon, "horizon")
+    modulus = automaton._integer(modulus, "modulus")
+    ensure_within_ceiling(modulus, "residue table size")
     stream = motzkin_mod_stream(modulus, horizon)
     counts = np.bincount(stream.values, minlength=modulus).tolist()
     return [(residue, count, count / horizon) for residue, count in enumerate(counts)]

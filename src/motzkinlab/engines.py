@@ -47,16 +47,21 @@ modulo ``m`` and reports the first disagreement, if any.
 Single large indices and stream lengths are capped by a ceiling, which bounds
 the quadratic cost of the exact engines: the environment variable
 ``MOTZKINLAB_CEILING``, else 10**5.
+
+The exact engines use Python ints only.  The modular stream and the
+automaton import numpy when they run, not when this module loads.
 """
 
 import math
 import os
 from dataclasses import dataclass
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
 
-import numpy as np
+from . import automaton
+from .automaton import StateCapError, motzkin_mod_array
 
-from .automaton import StateCapError, _integer, motzkin_mod_array
+if TYPE_CHECKING:
+    import numpy as np
 
 DEFAULT_CEILING = 100_000
 CEILING_ENV_VAR = "MOTZKINLAB_CEILING"
@@ -108,7 +113,7 @@ def motzkin_exact(n: int) -> int:
     t_(k+1) (k + 1)(k + 2) = t_k (n - 2k)(n - 2k - 1) and t_(k+1) is an
     integer; the last numerator is 0, so no value goes negative.
     """
-    n = _integer(n, "index")
+    n = automaton._integer(n, "index")
     if n < 0:
         raise ValueError(f"index must be non-negative, got {n}")
     ensure_within_ceiling(n, "index")
@@ -144,7 +149,7 @@ def iter_motzkin_exact() -> Iterator[int]:
 
 def motzkin_exact_stream(count: int) -> "list[int]":
     """Return ``[M(0), ..., M(count - 1)]`` via the exact recurrence."""
-    count = _integer(count, "count")
+    count = automaton._integer(count, "count")
     if count < 1:
         raise ValueError(f"stream length must be at least 1, got {count}")
     ensure_within_ceiling(count, "stream length")
@@ -198,7 +203,7 @@ def motzkin_mod_stream(modulus: int, count: int) -> ResidueStream:
     from an integer raises :class:`FFTRoundingError`, and no residues are
     returned.
     """
-    modulus, count = _integer(modulus, "modulus"), _integer(count, "count")
+    modulus, count = automaton._integer(modulus, "modulus"), automaton._integer(count, "count")
     if modulus < 2:
         raise ValueError(f"modulus must be at least 2, got {modulus}")
     if count < 1:
@@ -208,6 +213,8 @@ def motzkin_mod_stream(modulus: int, count: int) -> ResidueStream:
 
 
 def _newton_stream(modulus: int, count: int) -> "list[int]":
+    import numpy as np
+
     # Brent and Kung's coupled iteration, carrying H = -1/F'(M) =
     # 1/(1 - x - 2 x**2 M) so that no correction needs a negation.  With M
     # known mod x**known and H mod x**half (half >= known / 2), first refine
@@ -280,6 +287,8 @@ class _LimbRing:
     """
 
     def __init__(self, modulus: int, count: int) -> None:
+        import numpy as np
+
         self.modulus = modulus
         self.bits, self.limbs = _limb_bits(modulus, count)
         self.mask = (1 << self.bits) - 1
@@ -289,33 +298,39 @@ class _LimbRing:
         # m * 2**bits + 2**52, and int64 holds it when that is below 2**63.
         self.dtype = np.int64 if (modulus << self.bits) + 2**52 < 2**63 else object
 
-    def split(self, values) -> np.ndarray:
+    def split(self, values) -> "np.ndarray":
         """Residues (a sequence or an array of ``dtype``) as limb rows."""
+        import numpy as np
+
         shifts = self.bits * np.arange(self.limbs)[:, None]
         return ((np.asarray(values, dtype=self.dtype) >> shifts) & self.mask).astype(np.int64)
 
-    def _evaluate(self, rows: np.ndarray) -> np.ndarray:
+    def _evaluate(self, rows: "np.ndarray") -> "np.ndarray":
         # sum_s rows[s] * 2**(bits*s) mod m by Horner's rule from the top row.
+        import numpy as np
+
         value = np.zeros(rows.shape[1], dtype=self.dtype)
         for row in rows[::-1]:
             value = ((value << self.bits) + row) % self.modulus
         return value
 
-    def reduce(self, raw: np.ndarray) -> np.ndarray:
+    def reduce(self, raw: "np.ndarray") -> "np.ndarray":
         """Residues of sum_s raw[s] * 2**(bits*s), for rows in [0, 2**52)."""
         return self.split(self._evaluate(raw))
 
-    def to_ints(self, series: np.ndarray) -> "list[int]":
+    def to_ints(self, series: "np.ndarray") -> "list[int]":
         """The coefficients of ``series`` as Python ints."""
         return self._evaluate(series).tolist()
 
-    def product(self, a: np.ndarray, b: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    def product(self, a: "np.ndarray", b: "np.ndarray", lo: int, hi: int) -> "np.ndarray":
         """Terms [lo, hi) of a*b as rows s = p + q of exact sums of a_p * b_q.
 
         The cyclic convolution is just long enough that no wrapped-around
         term lands in [lo, hi).  Every output is checked, so a broken
         exactness bound raises instead of rounding to a wrong integer.
         """
+        import numpy as np
+
         la, lb = a.shape[1], b.shape[1]
         size = 1 << (max(hi, la, lb, la + lb - 1 - lo) - 1).bit_length()
         fa = np.fft.rfft(a, size)
@@ -365,7 +380,7 @@ def cross_validate_engines(modulus: int, count: int) -> CrossValidationReport:
     the recurrence; ``first_mismatches`` keeps the first few disagreements,
     one per engine and index, in index order.
     """
-    modulus, count = _integer(modulus, "modulus"), _integer(count, "count")
+    modulus, count = automaton._integer(modulus, "modulus"), automaton._integer(count, "count")
     streams = [motzkin_mod_stream(modulus, count).values]
     try:
         streams.append(motzkin_mod_array(modulus, count).tolist())

@@ -6,13 +6,16 @@ one literally enumerates lattice walks, one runs the modular
 convolution recurrence on Python integers, two multiply up the power
 of every exponent layer: one counts SetSpec members, one rebuilds the
 error bound of a SetSpec count, and one counts zero-one numbers one base-3
-digit at a time.
+digit at a time.  Two build the density lab's digit-chunk lookup tables with
+numpy, every digit of every chunk at once.
 """
 
 import math
+from array import array
 from fractions import Fraction
 from functools import lru_cache
 
+import numpy as np
 import pytest
 
 from motzkinlab.classify import DIV5_FORM_SPECS, MOD8_CLASS_SPECS, SetSpec
@@ -113,6 +116,40 @@ def t01_count_oracle(n_max: int) -> int:
             return count + (2 << position)
         count += digits[position] << position
     return count + 1
+
+
+def legendre_table_oracle(base: int, exp_step: int, residue: int, digits: int) -> array:
+    """The Legendre table of ``density._legendre_table`` over chunks of ``digits`` base-b digits.
+
+    Entry c is (B - 1)*#{positions p = 0 mod s with digit >= residue}
+    - sum_p d_p(c)*b**((p - 1) mod s), B = b**s, from every digit of c.
+    """
+    step = base ** exp_step
+    chunk = np.arange(base ** digits, dtype=np.int64)
+    entry = np.zeros_like(chunk)
+    for position in range(digits):
+        chunk, digit = np.divmod(chunk, base)
+        if position % exp_step == 0:
+            entry += (step - 1) * (digit >= residue)
+        entry -= digit * base ** ((position - 1) % exp_step)
+    return array("h", entry.astype(np.int16).tobytes())
+
+
+def t01_table_oracle(digits: int) -> array:
+    """The zero-one table of ``density._t01_table`` over chunks of ``digits`` base-3 digits.
+
+    Entry c is the binary reading of the largest zero-one number <= c: a
+    digit 2 turns itself and every digit below it into 1.  It is stored
+    complemented when c has a 2.
+    """
+    chunk = np.arange(3 ** digits, dtype=np.int64)
+    largest = np.zeros_like(chunk)
+    has_two = np.zeros(chunk.size, dtype=bool)
+    for position in range(digits):
+        chunk, digit = np.divmod(chunk, 3)
+        largest = np.where(digit == 2, (2 << position) - 1, largest | digit << position)
+        has_two |= digit == 2
+    return array("h", np.where(has_two, ~largest, largest).astype(np.int16).tobytes())
 
 
 @pytest.fixture(scope="session")

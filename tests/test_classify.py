@@ -4,6 +4,7 @@ import sys
 from dataclasses import FrozenInstanceError
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -409,3 +410,33 @@ class TestSharedNegativeResults:
             setattr(outcome, field, value)
         assert classify_mod8(4) == Mod8Classification(Mod8Kind.ODD)
         assert classify_div5(0) == Div5Classification()
+
+
+class TestIntegerArguments:
+    """Every scalar entry point reads n as an integer: a float is refused, a numpy int is an int."""
+
+    @pytest.mark.parametrize("call, name", [
+        (lambda: classify_mod8(10.0), "index"),
+        (lambda: classify_mod3(10.0), "index"),
+        (lambda: classify_div5(9.0), "index"),
+        (lambda: is_t01(10.0), "index"),
+        (lambda: is_in_set(9.0, DIV5_FORM_SPECS[1]), "n"),
+        (lambda: factor_out_base(12.0, 2), "n"),
+    ], ids=["mod8", "mod3", "div5", "t01", "is_in_set", "factor_out_base"])
+    def test_floats_are_refused(self, call, name):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
+            call()
+
+    @pytest.mark.parametrize("integer", [np.int64, np.uint32], ids=lambda t: t.__name__)
+    def test_numpy_integers_give_python_ints(self, integer):
+        mod8 = classify_mod8(integer(10))
+        assert mod8 == classify_mod8(10) == Mod8Classification(Mod8Kind.RESIDUE_4,
+                                                                Mod8Witness(3, 2, 0, 0))
+        assert all(type(value) is int for value in mod8.witness)
+        div5 = classify_div5(integer(9))
+        assert div5 == classify_div5(9) and all(type(value) is int for value in div5.witness)
+        assert type(classify_mod3(integer(10))) is int and classify_mod3(integer(10)) == 1
+        assert is_t01(integer(10)) is True
+        assert is_in_set(integer(9), DIV5_FORM_SPECS[1]) == (0, 0)
+        assert all(type(value) is int for value in is_in_set(integer(9), DIV5_FORM_SPECS[1]))
+        assert all(type(value) is int for value in factor_out_base(integer(12), 2))

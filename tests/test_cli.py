@@ -636,3 +636,48 @@ class TestFailedWrite:
             assert main(["compute", "0..10", "--mod", "8", "--out", "/dev/full"]) == 3
         capsys.readouterr()
         assert len(os.listdir("/proc/self/fd")) == before
+
+
+class TestStartsWithoutNumpy:
+    """The digit classifiers and the exact counters need only integer arithmetic on n."""
+
+    @staticmethod
+    def run_script(script, *args):
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+        return subprocess.run([sys.executable, "-c", script, *args], env=env,
+                              capture_output=True, text=True, timeout=120)
+
+    def test_import(self):
+        result = self.run_script("import sys, motzkinlab, motzkinlab.cli; "
+                                 "print([name for name in sys.modules if name.startswith('numpy')])")
+        assert (result.returncode, result.stdout) == (0, "[]\n"), result.stderr
+
+    def test_commands(self):
+        # Prints each command that exits nonzero or leaves numpy loaded.
+        script = """
+import contextlib, io, sys
+from motzkinlab import cli, density
+commands = [["classify", "0..100", "--mod", str(m)] for m in (2, 3, 4, 5, 8)]
+commands += [["compute", "0..50"], ["density", "table"]]
+commands += [["density", label, "-N", str(10**30)] for label in density.SELECTORS]
+for argv in commands:
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(argv)
+    if code or "numpy" in sys.modules:
+        print(code, *argv)
+        break
+print(len(commands), "commands")
+"""
+        result = self.run_script(script)
+        assert (result.returncode, result.stdout) == (0, "25 commands\n"), result.stderr
+
+    @pytest.mark.parametrize("argv, expected", [
+        (["verify", "100", "--mod", "8"], "modulus,checked,mismatches,first_mismatch\n8,100,0,\n"),
+        (["compute", "0..50", "--mod", "8"],
+         "n,residue\n" + "".join(f"{n},{value}\n"
+                                  for n, value in enumerate(motzkin_mod_stream(8, 50).values))),
+    ], ids=["verify", "compute --mod"])
+    def test_commands_that_load_numpy(self, argv, expected):
+        result = self.run_script("import sys; from motzkinlab.cli import main; "
+                                 "sys.exit(main(sys.argv[1:]))", *argv)
+        assert (result.returncode, result.stdout, result.stderr) == (0, expected, "")

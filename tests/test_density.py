@@ -38,7 +38,13 @@ from motzkinlab.density import (
 )
 from motzkinlab.engines import CEILING_ENV_VAR, ResourceLimitError
 
-from conftest import error_bound_oracle, layer_count_oracle, t01_count_oracle
+from conftest import (
+    error_bound_oracle,
+    layer_count_oracle,
+    legendre_table_oracle,
+    t01_count_oracle,
+    t01_table_oracle,
+)
 
 FORM2 = DIV5_FORM_SPECS[1]
 
@@ -662,6 +668,47 @@ class TestResidueDistribution:
         monkeypatch.setenv(CEILING_ENV_VAR, "100")
         with pytest.raises(ResourceLimitError):
             empirical_residue_distribution(5, 101)
+
+    def test_ceiling_bounds_the_modulus(self, monkeypatch):
+        # One row per residue: 10**9 + 7 of them would take 8 GB.  The
+        # modulus is refused before the stream runs, so nothing that size
+        # is ever built here.
+        def stream(modulus, count):
+            raise AssertionError("the stream ran")
+
+        monkeypatch.setattr(density, "motzkin_mod_stream", stream)
+        with pytest.raises(ResourceLimitError, match="^residue table size 1000000007 exceeds"):
+            empirical_residue_distribution(10**9 + 7, 10)
+
+
+class TestChunkTables:
+    """The pure-Python lookup tables equal the numpy builds in conftest."""
+
+    @pytest.mark.parametrize("base, exp_step, residue", [
+        (base, step, residue)
+        for base, step in ((2, 1), (2, 3), (3, 2), (4, 1), (5, 1), (5, 2), (5, 3), (7, 2),
+                           (10, 1), (25, 1), (31, 3), (181, 1), (181, 2), (2, 16))
+        for residue in sorted({1, base // 2, base - 1})
+    ])
+    def test_legendre_table(self, base, exp_step, residue):
+        table = density._legendre_table(base, exp_step, residue)
+        step = base ** exp_step
+        if step > density.MAX_CHUNK_ENTRIES:
+            assert table is None
+            return
+        size, got_step, weight, entries = table
+        digits = 1
+        while step ** (digits + 1) <= density.MAX_CHUNK_ENTRIES:
+            digits += 1
+        assert (size, got_step, weight) == (step ** digits, step, base ** (exp_step - 1))
+        assert entries.typecode == "h"
+        assert entries == legendre_table_oracle(base, exp_step, residue, exp_step * digits)
+
+    def test_t01_table(self):
+        size, digits, entries = density._t01_table()
+        assert size == 3 ** digits <= density.MAX_CHUNK_ENTRIES < 3 ** (digits + 1)
+        assert entries.typecode == "h"
+        assert entries == t01_table_oracle(digits)
 
 
 class TestDensityReport:
