@@ -91,8 +91,8 @@ class _Automaton:
         state = 0
         while n:
             n, digit = divmod(n, self.base)
-            state = int(self.table[state, digit])
-        return int(self.output[state])
+            state = self.table.item(state, digit)
+        return self.output.item(state)
 
     def residues(self, indices: "np.ndarray") -> "np.ndarray":
         import numpy as np

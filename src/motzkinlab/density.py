@@ -14,8 +14,11 @@ other so they can cross-check:
   N - shift.  Legendre's identity turns the sum into digit sums: for base 4
   with exp_step 1 (the mod-8 families) popcounts, a fixed number of big-int
   operations; for the div-5 families (base 25) and any other spec whose
-  base**exp_step fits MAX_CHUNK_ENTRIES, one lookup per chunk of digits.
-  The zero-one count reads base-3**9 chunks the same way.  The tables are
+  base**exp_step fits MAX_CHUNK_ENTRIES, one lookup per chunk of digits
+  (a larger one, which no class label has, walks the layers).  The mod8=2
+  and mod8=6 halves tilt the mod4=2 count by a few more base-4 masks
+  (:func:`_parity_tilt`).  The zero-one count reads base-3**9 chunks the
+  same way as div-5.  The tables are
   built in pure Python on first use; importing the module builds none, and
   no exact count loads numpy,
 * counts obtained by streaming every index (:func:`count_class_in_range`),
@@ -70,23 +73,6 @@ def set_density(spec: SetSpec) -> Fraction:
     """Closed-form density of the members of ``spec``."""
     base, step = spec.base, spec.exp_step
     return Fraction(base ** step, base ** (spec.first_exponent + 1) * (base ** step - 1))
-
-
-def _layer_sizes(bound: int, spec: SetSpec):
-    """Members of ``spec`` that are <= bound, per exponent layer, lowest layer first.
-
-    Layer e holds the i >= 0 with (base*i + residue)*base**e <= bound - shift:
-    (q_e - residue)//base + 1 of them, where q_e = (bound - shift)//base**e.
-    One division reaches the first layer's quotient; each next quotient is
-    the last one floor-divided by the small base**exp_step, and the walk
-    stops at the first zero quotient, so it takes O(log_b N) small-divisor
-    steps and never forms a big power.
-    """
-    q = (bound - spec.shift) // spec.base ** spec.first_exponent
-    step = spec.base ** spec.exp_step
-    while q > 0:
-        yield (q - spec.residue) // spec.base + 1
-        q //= step
 
 
 # Entries in one digit-chunk lookup table.  A table over base B**K reads K
@@ -159,7 +145,8 @@ def _count_members_at_most(bound: int, spec: SetSpec) -> int:
       :func:`_legendre_table`.  The b**(s - 1) term puts back digit 0 of x,
       which belongs to x mod b and not to y.
 
-    A spec with B above the cap walks :func:`_layer_sizes`.
+    A spec with B above the cap, which no class label has, walks the
+    layers: (x//B**t - residue)//b + 1 members in layer t.
     """
     base = spec.base
     if base == 4 and spec.exp_step == 1:
@@ -178,9 +165,13 @@ def _count_members_at_most(bound: int, spec: SetSpec) -> int:
             at_least = y & y >> 1 & low
         return (y - digit_sum) // 3 + at_least.bit_count()
     table = _legendre_table(base, spec.exp_step, spec.residue)
-    if table is None:
-        return sum(_layer_sizes(bound, spec))
     x = (bound - spec.shift) // base ** spec.first_exponent
+    if table is None:
+        step, total = base ** spec.exp_step, 0
+        while x > 0:
+            total += (x - spec.residue) // base + 1
+            x //= step
+        return total
     if x <= 0:
         return 0
     size, step, weight, entries = table
@@ -204,9 +195,9 @@ def count_set_exact(n_max: int, spec: SetSpec) -> int:
     operations; for any other spec whose base**exp_step is at most
     MAX_CHUNK_ENTRIES, the div-5 families among them, one table lookup and
     one small division per chunk of digits (six base-5 digits for div-5).
-    Larger base**exp_step walk the exponent layers, one small division
-    each.  A negative shift can push a few low-i members below zero;
-    subtracting the count at -1 removes them.
+    Only a larger base**exp_step (no class label) walks the exponent
+    layers, one small division each.  A negative shift can push a few low-i
+    members below zero; subtracting the count at -1 removes them.
     """
     if type(n_max) is not int:
         n_max = automaton._integer(n_max, "n_max")
@@ -320,30 +311,20 @@ class _ClassEntry(NamedTuple):
     exact: "Callable[[int], tuple[int, Fraction]]"
 
 
-def _union_bound(specs) -> "tuple[int, Callable[[int], int]]":
-    """The specs' shared base, and n_max -> the sum of their bounds times that base.
-
-    Unions add their :func:`count_error_bound` values as these integers and
-    build one Fraction: Fraction arithmetic, not the layer count, is a
-    bound's main cost.  Specs of different bases raise ValueError.
-    """
-    specs = tuple(specs)
-    (base,) = {spec.base for spec in specs}
-    return base, lambda n_max: sum(_bound_numerator(n_max, spec) for spec in specs)
-
-
 def _spec_union(specs, count: "Callable[[np.ndarray], int]") -> _ClassEntry:
     """Entry for a disjoint union of SetSpec families, with the chunk count ``count``.
 
-    The limit sums :func:`set_density` over the specs; the pair sums
-    :func:`count_set_exact` and takes the bound from :func:`_union_bound`.
+    The limit sums :func:`set_density` over the specs and the pair sums
+    :func:`count_set_exact`; the bound sums their integer bound numerators
+    over the shared base (specs of different bases raise ValueError) and
+    builds one Fraction, whose arithmetic is a bound's main cost.
     """
     specs = tuple(specs)
-    base, bound_numerator = _union_bound(specs)
+    (base,) = {spec.base for spec in specs}
 
     def exact(n_max):
         return (sum(count_set_exact(n_max, spec) for spec in specs),
-                Fraction(bound_numerator(n_max), base))
+                Fraction(sum(_bound_numerator(n_max, spec) for spec in specs), base))
 
     return _ClassEntry(limit=sum(map(set_density, specs), Fraction(0)), count=count, exact=exact)
 
@@ -367,12 +348,35 @@ def _residue_count(modulus: int, value: int) -> "Callable[[np.ndarray], int]":
     return _swept(value, automaton._automaton, *automaton._prime_powers(modulus)[0])
 
 
-def _even_popcounts_below(k: int) -> int:
-    """How many i in [0, k) have an even number of one bits.
+def _parity_tilt(n_max: int, spec: SetSpec) -> "tuple[int, int]":
+    """(T, layers) for a base-4 family of exp_step 1 and odd residue, over its members <= n_max.
 
-    Each pair 2m, 2m + 1 holds one of each parity; an odd k leaves k - 1 over.
+    Of i in [0, k), (k + S(k))/2 have an even number of one bits, where
+    S(k) = [k odd]*(-1)**popcount(k - 1): the pairs 2m, 2m + 1 balance.  T
+    sums S(k) over the layers, k the members of a layer; layers counts them.
+    With x = (n_max - shift)//4**first_exponent, layer t holds k = y + a,
+    y = x >> 2(t + 1) and a = [base-4 digit t of x >= residue]; k - 1 is y
+    where a = 1 and y is even, and y with its low bit cleared where a = 0
+    and y is odd.  So S(k) = (a - o)*(-1)**f, o the low bit of y and f the
+    parity of its one bits, and T = pop(A) - pop(O) - 2 pop(A & F)
+    + 2 pop(O & F) for the masks A, O and F of a, o and f at bit 2t, F from
+    one suffix-parity scan of x.
     """
-    return k // 2 + (k % 2 == 1 and (k - 1).bit_count() % 2 == 0)
+    x = (n_max - spec.shift) >> 2 * spec.first_exponent
+    if x <= 0:
+        return 0, 0
+    bits = x.bit_length()
+    low = ((1 << ((bits + 1) & ~1)) - 1) // 3
+    at_least = (x | x >> 1) & low if spec.residue == 1 else x & x >> 1 & low
+    odd = x >> 2 & low
+    parity, width = x, 1
+    while width < bits:
+        parity ^= parity >> width
+        width <<= 1
+    flips = parity >> 2 & low
+    tilt = (at_least.bit_count() - odd.bit_count()
+            - 2 * (at_least & flips).bit_count() + 2 * (odd & flips).bit_count())
+    return tilt, (bits + 1) // 2
 
 
 def _mod3_counts(n_max: int) -> "tuple[int, int, int]":
@@ -396,41 +400,35 @@ def _build_registry() -> "dict[str, _ClassEntry]":
     """Every class label, in table order, with its entry.
 
     Limits and (count, bound) pairs of spec unions are derived from their
-    specs; the mod8=2 and mod8=6 halves, mod 3 and zero-one entries state
-    theirs.  Every residue class counts its chunks from M(n) mod m, each
-    index family from its own machine.  The test suite checks every limit against
-    hand-computed rationals and every exact counter against the sweep.
+    specs, the mod8=2 and mod8=6 halves split the mod4=2 pair, and mod 3
+    and zero-one entries state theirs.  Every residue class counts its
+    chunks from M(n) mod m, each index family from its own machine.  The
+    test suite checks every limit against hand-computed rationals and every
+    exact counter against the sweep.
     """
     mod8 = MOD8_CLASS_SPECS
     registry = {"even": _spec_union(mod8.values(), _residue_count(2, 0))}
     for (eps, delta), spec in mod8.items():
         registry[f"eps{eps}_delta{delta}"] = _family(spec)
     registry["mod8=4"] = _spec_union([mod8[(1, 1)], mod8[(3, 2)]], _residue_count(8, 4))
-    two_six_specs = [mod8[(1, 2)], mod8[(3, 1)]]
-    two_or_six = _spec_union(two_six_specs, _residue_count(4, 2))
-    base, bound_numerator = _union_bound(two_six_specs)
+    two_or_six = _spec_union([mod8[(1, 2)], mod8[(3, 1)]], _residue_count(4, 2))
 
     # n = (4i + eps) * 4**e - delta gives 2 or 6 by the parity of the one
     # bits of 4i + eps - 1: those of i for eps = 1, one more for eps = 3.
-    # Every member is at least 4*eps - delta >= 2, so no layer reaches
-    # below zero.  Each half holds half the two-or-six population, give or
-    # take 1/2 per exponent layer: popcount parity is balanced within 1 on
-    # every prefix of i.
-    def half_exact(code):
+    # No member lies below zero (each is at least 4*eps - delta >= 2).  Of a
+    # layer's k members, (k + S(k))/2 give 2 for eps = 1 and 6 for eps = 3
+    # (see _parity_tilt): half the union, give or take 1/2 per layer.
+    def half_exact(sign):
         def exact(n_max):
-            total = layers = 0
-            for spec in two_six_specs:
-                for k in _layer_sizes(n_max, spec):
-                    evens = _even_popcounts_below(k)
-                    total += evens if (spec.residue == 1) == (code == 2) else k - evens
-                    layers += 1
-            # Half the union's bound plus 1/2 per layer, over 2 * base.
-            return total, Fraction(bound_numerator(n_max) + layers * base, 2 * base)
+            union, bound = two_or_six.exact(n_max)
+            tilt_1, layers_1 = _parity_tilt(n_max, mod8[(1, 2)])
+            tilt_3, layers_3 = _parity_tilt(n_max, mod8[(3, 1)])
+            return (union + sign * (tilt_1 - tilt_3)) // 2, (bound + layers_1 + layers_3) / 2
         return exact
 
-    for code in (2, 6):
+    for code, sign in ((2, 1), (6, -1)):
         registry[f"mod8={code}"] = _ClassEntry(
-            two_or_six.limit / 2, _residue_count(8, code), half_exact(code))
+            two_or_six.limit / 2, _residue_count(8, code), half_exact(sign))
     registry["mod4=2"] = two_or_six
     # M(n) mod 3 is nonzero only where n // 3 or n // 3 + 1 is a zero-one
     # number: at most two zero-one counts per nonzero residue, and for

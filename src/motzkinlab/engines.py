@@ -378,7 +378,8 @@ def cross_validate_engines(modulus: int, count: int) -> CrossValidationReport:
     engines is wrong, which is exactly what the report exists to surface.
     ``first_mismatch`` is the smallest index where any engine disagrees with
     the recurrence; ``first_mismatches`` keeps the first few disagreements,
-    one per engine and index, in index order.
+    one per engine and index, in index order.  The comparison stops once
+    it holds that many, and ``checked`` counts the indices it compared.
     """
     modulus, count = automaton._integer(modulus, "modulus"), automaton._integer(count, "count")
     streams = [motzkin_mod_stream(modulus, count).values]
@@ -386,13 +387,14 @@ def cross_validate_engines(modulus: int, count: int) -> CrossValidationReport:
         streams.append(motzkin_mod_array(modulus, count).tolist())
     except StateCapError:
         pass
-    kept = []
+    kept, checked = [], count
     for n, value in zip(range(count), iter_motzkin_exact()):
         expected = value % modulus
         kept += [(n, expected, stream[n]) for stream in streams if stream[n] != expected]
         if len(kept) >= KEPT_MISMATCHES:
+            checked = n + 1
             break
     kept = tuple(kept[:KEPT_MISMATCHES])
-    return CrossValidationReport(modulus=modulus, checked=count,
+    return CrossValidationReport(modulus=modulus, checked=checked,
                                  first_mismatch=kept[0][0] if kept else None,
                                  first_mismatches=kept)

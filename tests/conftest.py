@@ -5,9 +5,10 @@ one evaluates the defining binomial-Catalan sum with stdlib combinatorics,
 one literally enumerates lattice walks, one runs the modular
 convolution recurrence on Python integers, two multiply up the power
 of every exponent layer: one counts SetSpec members, one rebuilds the
-error bound of a SetSpec count, and one counts zero-one numbers one base-3
-digit at a time.  Two build the density lab's digit-chunk lookup tables with
-numpy, every digit of every chunk at once.
+error bound of a SetSpec count.  One counts the mod8=2 and mod8=6 halves
+one exponent layer and one popcount at a time, and one counts zero-one
+numbers one base-3 digit at a time.  Two build the density lab's
+digit-chunk lookup tables with numpy, every digit of every chunk at once.
 """
 
 import math
@@ -77,6 +78,27 @@ def layer_count_oracle(n_max: int, spec: SetSpec) -> int:
     if n_max < 0:
         return 0
     return at_most(n_max) - at_most(-1)
+
+
+def half_count_oracle(n_max: int, code: int) -> int:
+    """How many n in [0, n_max] have M(n) = code mod 8, for code 2 or 6, one layer at a time.
+
+    n = (4i + eps)*4**e - delta with (eps, delta) = (1, 2) or (3, 1) and
+    e >= 1 is 2 mod 8 where 4i + eps - 1 has an even number of one bits
+    (those of i for eps = 1, one more for eps = 3) and 6 mod 8 otherwise.
+    Layer e holds the k = (q - eps)//4 + 1 members with i < k, where
+    q = (n_max + delta)//4**e, and among i in [0, k) the pairs 2m, 2m + 1
+    hold one i of each parity: an odd k leaves k - 1 over.
+    """
+    total = 0
+    for eps, delta in ((1, 2), (3, 1)):
+        q = (n_max + delta) // 4
+        while q > 0:
+            k = (q - eps) // 4 + 1
+            evens = k // 2 + (k % 2 == 1 and (k - 1).bit_count() % 2 == 0)
+            total += evens if (eps == 1) == (code == 2) else k - evens
+            q //= 4
+    return total
 
 
 def error_bound_oracle(n_max: int, spec: SetSpec) -> Fraction:

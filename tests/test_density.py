@@ -40,6 +40,7 @@ from motzkinlab.engines import CEILING_ENV_VAR, ResourceLimitError
 
 from conftest import (
     error_bound_oracle,
+    half_count_oracle,
     layer_count_oracle,
     legendre_table_oracle,
     t01_count_oracle,
@@ -572,6 +573,18 @@ class TestExactCounts:
             assert count == report.observed_count, label
             assert abs(count - HUGE_HORIZON * report.limit_value) <= bound, label
         assert elapsed < 5, elapsed
+
+    def test_halves_match_half_count_oracle(self):
+        # mod8=2 and mod8=6 split the mod4=2 count by popcount masks; the
+        # oracle walks every exponent layer.  Near the powers of 4 a layer
+        # appears or its last digit turns over.
+        rng = random.Random(26)
+        near_powers = [4**k + d for k in range(200) for d in range(-3, 4)]
+        sampled = [rng.randrange(10**30) for _ in range(300)]
+        for n_max in [*range(-1, 5000), *near_powers, *sampled, HUGE_HORIZON - 1]:
+            for code in (2, 6):
+                count, _ = _REGISTRY[f"mod8={code}"].exact(n_max)
+                assert count == half_count_oracle(n_max, code), (code, n_max)
 
 
 def assert_partitions(counts) -> None:

@@ -337,6 +337,18 @@ class TestCrossValidation:
         assert report.first_mismatch == 0
         assert [n for n, _, _ in report.first_mismatches] == [0, 1, 2, 3, 4]
 
+    def test_checked_counts_the_indices_compared(self, monkeypatch):
+        # A stream wrong at every index: the comparison stops at index 4,
+        # once it holds five disagreements, and has compared five indices.
+        def flipped(modulus, count):
+            stream = motzkin_mod_stream(modulus, count)
+            return ResidueStream(modulus, tuple(value ^ 1 for value in stream.values))
+
+        monkeypatch.setattr(engines, "motzkin_mod_stream", flipped)
+        report = engines.cross_validate_engines(8, 1000)
+        assert report.checked == 5
+        assert [n for n, _, _ in report.first_mismatches] == [0, 1, 2, 3, 4]
+
 
 class TestIntegerArguments:
     """Every engine entry point reads its index, count and modulus through one parser."""
