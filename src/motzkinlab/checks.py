@@ -18,21 +18,33 @@ SUPPORTED_MODULI = (2, 3, 4, 5, 8)
 KEPT_MISMATCHES = 10
 
 
+# The predictor of each supported modulus.  Each one looks its classifier up
+# in this module when called, so a replaced ``checks.classify_*`` is the one
+# that runs.
+_PREDICTORS = {
+    2: lambda n: classify_mod8(n).kind.residue_mod(2),
+    3: lambda n: classify_mod3(n),
+    4: lambda n: classify_mod8(n).kind.residue_mod(4),
+    5: lambda n: 0 if classify_div5(n).divisible else None,
+    8: lambda n: classify_mod8(n).kind.residue_mod(8),
+}
+
+
+def _predictor(modulus: int):
+    if modulus not in SUPPORTED_MODULI:
+        raise ValueError(
+            f"unsupported modulus {modulus}; expected one of {SUPPORTED_MODULI}"
+        )
+    return _PREDICTORS[modulus]
+
+
 def predicted_residue(modulus: int, n: int) -> "int | None":
     """The residue the digit classifiers name for M(n) mod modulus.
 
     None where they name only a class: odd (moduli 2, 4, 8) or nonzero
     (modulus 5).
     """
-    if modulus in (2, 4, 8):
-        return classify_mod8(n).kind.residue_mod(modulus)
-    if modulus == 3:
-        return classify_mod3(n)
-    if modulus == 5:
-        return 0 if classify_div5(n).divisible else None
-    raise ValueError(
-        f"unsupported modulus {modulus}; expected one of {SUPPORTED_MODULI}"
-    )
+    return _predictor(modulus)(n)
 
 
 def prediction_matches(modulus: int, predicted: "int | None", residue: int) -> bool:
@@ -61,17 +73,14 @@ class VerificationReport:
 
 def verify_classifiers(modulus: int, count: int) -> VerificationReport:
     """Compare digit predictions with automaton residues for all n < count."""
-    if modulus not in SUPPORTED_MODULI:
-        raise ValueError(
-            f"unsupported modulus {modulus}; expected one of {SUPPORTED_MODULI}"
-        )
+    predict = _predictor(modulus)
     if count < 0:
         raise ValueError(f"count must be non-negative, got {count}")
     ensure_within_ceiling(count, "sweep length")
     mismatches = 0
     kept = []
     for n, residue in enumerate(iter_motzkin_mod(modulus, count)):
-        predicted = predicted_residue(modulus, n)
+        predicted = predict(n)
         if not prediction_matches(modulus, predicted, residue):
             mismatches += 1
             if len(kept) < KEPT_MISMATCHES:

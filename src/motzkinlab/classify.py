@@ -6,12 +6,15 @@ accept arbitrary-precision indices, and any integer type ``operator.index``
 takes (a numpy int is read as an int); anything else, a float included, is a
 ValueError.
 
-Each scalar classifier costs one :func:`_split` per distinct additive shift
-of its index families (two each for mod 8 and div 5), plus O(1) big-int
-operations.  A negative outcome allocates nothing: every odd mod-8 result is
-the one shared frozen ``Mod8Classification(Mod8Kind.ODD)`` and every
-not-divisible result the one shared ``Div5Classification()``, so compare
-results with ``==``; their identity means nothing.
+The mod-8 and div-5 classifiers each look at two shifted indices, n + 1 and
+n + 2.  Most fail a first test of one ``&`` (mod 8: 4 must divide it) or
+one ``%`` (div 5: 5 must divide it) and cost nothing more.  One that passes
+costs a read of its lowest set bit (mod 8) or one base-5 :func:`_split`
+(div 5), plus O(1) big-int operations; building an even or divisible result
+costs several times that.  A negative outcome allocates nothing: every odd
+mod-8 result is the one shared frozen ``Mod8Classification(Mod8Kind.ODD)``
+and every not-divisible result the one shared ``Div5Classification()``, so
+compare results with ``==``; their identity means nothing.
 """
 
 import enum
@@ -83,6 +86,10 @@ class SetSpec:
     # would cost a call per read, and a cached_property, by adding to the
     # instance dict later, made every attribute read of a spec 2.6 times slower.
     first_exponent: int = field(init=False, repr=False, compare=False)
+    # residue * base**first_exponent + shift, the member at i = 0 in the first
+    # layer.  Only when it is negative do the exact counts take off members
+    # below zero.
+    smallest_member: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.base < 2:
@@ -98,6 +105,8 @@ class SetSpec:
         if self.min_j not in (0, 1):
             raise ValueError(f"min_j must be 0 or 1, got {self.min_j}")
         object.__setattr__(self, "first_exponent", self.exp_step * self.min_j + self.exp_offset)
+        object.__setattr__(self, "smallest_member",
+                           self.residue * self.base ** self.first_exponent + self.shift)
 
     def member(self, i: int, j: int) -> int:
         """The member with witness (i, j); inverse of :func:`is_in_set`."""
@@ -214,6 +223,8 @@ MOD8_CLASS_SPECS: "dict[tuple[int, int], SetSpec]" = {
 # since each Mod8Kind.X is a class attribute lookup.
 _ODD = Mod8Classification(Mod8Kind.ODD)
 _RESIDUE_2, _RESIDUE_4, _RESIDUE_6 = Mod8Kind.RESIDUE_2, Mod8Kind.RESIDUE_4, Mod8Kind.RESIDUE_6
+# The shifts delta of the families, each examined by classify_mod8.
+_MOD8_DELTAS = (1, 2)
 
 
 def classify_mod8(n: int) -> Mod8Classification:
@@ -225,20 +236,26 @@ def classify_mod8(n: int) -> Mod8Classification:
     M(n) = 4 mod 8; the other two give M(n) = 4*y + 2 mod 8, where y counts
     the one bits of ``4*i + eps - 1``, so y's parity separates 2 from 6.
 
-    Costs one base-4 :func:`_split` of n + 1 and one of n + 2.  Every ODD
-    outcome is the same shared frozen instance.
+    Examines x = n + 1 and x = n + 2: one ``&`` rejects an x not divisible
+    by 4, and otherwise x has a witness when its lowest set bit sits at an
+    even position 2(j + 1).  Every ODD outcome is the same shared frozen
+    instance.
     """
     if type(n) is not int:
         n = _integer(n, "index")
     if n < 0:
         raise ValueError(f"index must be non-negative, got {n}")
     match = None
-    for delta in (1, 2):
-        unit, exponent = _split(n + delta, 4)
-        if exponent and unit & 1:
-            if match is not None:
-                raise AssertionError(f"two (eps, delta) witnesses for n={n}")
-            match = delta, unit, exponent
+    for delta in _MOD8_DELTAS:
+        x = n + delta
+        if x & 3:
+            continue
+        twos = (x & -x).bit_length() - 1
+        if twos & 1:
+            continue
+        if match is not None:
+            raise AssertionError(f"two (eps, delta) witnesses for n={n}")
+        match = delta, x >> twos, twos >> 1
     if match is None:
         return _ODD
     delta, unit, exponent = match
@@ -351,9 +368,10 @@ def classify_div5(n: int) -> Div5Classification:
     ``(5i+3)*5**(2j-1) - 2`` or ``(5i+4)*5**(2j) - 1`` with i >= 0, j >= 1.
     The four families are pairwise disjoint; witnesses use this indexing.
 
-    The forms share two shifts, so this costs one base-5 :func:`_split` of
-    n + 2 and one of n + 1.  Every not-divisible outcome is the same shared
-    frozen instance.
+    The forms share two shifts, and each form's exponent is at least 1, so
+    one ``%`` rejects n + 2, and one n + 1, unless 5 divides it; only then
+    does a base-5 :func:`_split` run.  Every not-divisible outcome is the
+    same shared frozen instance.
     """
     if type(n) is not int:
         n = _integer(n, "index")
@@ -361,7 +379,10 @@ def classify_div5(n: int) -> Div5Classification:
         raise ValueError(f"index must be non-negative, got {n}")
     found = None
     for (shift, base), members in _DIV5_GROUPS.items():
-        unit, exponent = _split(n - shift, base)
+        x = n - shift
+        if x % base:
+            continue
+        unit, exponent = _split(x, base)
         for form, spec in members:
             hit = _witness(spec, unit, exponent)
             if hit is not None:

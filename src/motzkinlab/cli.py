@@ -23,7 +23,7 @@ from contextlib import contextmanager, nullcontext
 from json.encoder import encode_basestring_ascii
 
 from . import checks, density, engines
-from .classify import classify_div5, classify_mod3, classify_mod8
+from .classify import Mod8Kind, classify_div5, classify_mod3, classify_mod8
 
 EXIT_OK = 0
 EXIT_VERIFICATION_FAILED = 1
@@ -94,13 +94,8 @@ _JSON = json.JSONEncoder(separators=(",", ":"))
 
 
 def _json_value(value) -> str:
-    """One row value as json encodes it inside ``_JSON.encode(row_dict)``."""
-    kind = type(value)
-    if kind is int:
-        return int.__repr__(value)
-    if value is None:
-        return "null"
-    if kind is str:
+    """A row value other than an exact int or None, as ``_JSON.encode(row_dict)`` encodes it."""
+    if type(value) is str:
         return encode_basestring_ascii(value)
     return _JSON.encode(value)
 
@@ -110,9 +105,10 @@ def _emit(handle, fmt: str, columns, rows) -> None:
 
     Each JSON line is byte-identical to ``json.dumps(dict(zip(columns, row)),
     separators=(",", ":"))``, ASCII-escaped.  It is filled into one template
-    built from the column names, one write per row.  A reader that goes away
-    early (``| head``) ends the output quietly; any other failed write (a
-    full disk) is a resource error, exit 3.
+    built from the column names, one write per row: exact ints and None are
+    written inline, other values through :func:`_json_value`.  A reader that
+    goes away early (``| head``) ends the output quietly; any other failed
+    write (a full disk) is a resource error, exit 3.
     """
     try:
         if fmt == "csv":
@@ -123,7 +119,9 @@ def _emit(handle, fmt: str, columns, rows) -> None:
             line = "{" + ",".join(encode_basestring_ascii(name).replace("%", "%%") + ":%s"
                                   for name in columns) + "}\n"
             for values in rows:
-                handle.write(line % tuple(map(_json_value, values)))
+                handle.write(line % tuple([value if type(value) is int
+                                           else "null" if value is None else _json_value(value)
+                                           for value in values]))
         handle.flush()
     except OSError as exc:
         # Keep the flushes still to come quiet: the handle's close, the
@@ -235,32 +233,50 @@ _CLASSIFY_COLUMNS = {
 }
 
 
-def _classify_row(modulus: int, n: int):
-    if modulus in (2, 4, 8):
+def _mod8_row_builder(modulus: int):
+    """The row builder of modulus 2, 4 or 8; each kind's class column is computed here, once."""
+    classes = {}
+    for kind in Mod8Kind:
+        residue = kind.residue_mod(modulus)
+        classes[kind] = residue if modulus == 2 else "odd" if residue is None else str(residue)
+    odd = (classes[Mod8Kind.ODD],) + (None,) * (len(_CLASSIFY_COLUMNS[modulus]) - 2)
+    with_y = modulus == 8
+
+    def row(n):
         outcome = classify_mod8(n)
         witness = outcome.witness
-        residue = outcome.kind.residue_mod(modulus)
-        if modulus == 2:
-            head = (n, residue)
-        else:
-            head = (n, "odd" if residue is None else str(residue))
-        tail = (witness.eps, witness.delta, witness.i, witness.j) if witness \
-            else (None, None, None, None)
-        if modulus == 8:
-            tail = tail + (outcome.ones_count,)
-        return head + tail
-    if modulus == 3:
-        return n, classify_mod3(n)
+        if witness is None:
+            return (n,) + odd
+        if with_y:
+            return (n, classes[outcome.kind], *witness, outcome.ones_count)
+        return (n, classes[outcome.kind], *witness)
+    return row
+
+
+def _div5_row(n: int):
     outcome = classify_div5(n)
-    if outcome.divisible:
-        return n, 1, outcome.form, outcome.witness.i, outcome.witness.j
-    return n, 0, None, None, None
+    if outcome.form is None:
+        return n, 0, None, None, None
+    return (n, 1, outcome.form, *outcome.witness)
+
+
+# The row builder of each modulus, chosen once per command.
+_CLASSIFY_ROWS = {
+    2: _mod8_row_builder(2),
+    3: lambda n: (n, classify_mod3(n)),
+    4: _mod8_row_builder(4),
+    5: _div5_row,
+    8: _mod8_row_builder(8),
+}
+
+
+def _classify_row(modulus: int, n: int):
+    return _CLASSIFY_ROWS[modulus](n)
 
 
 def _cmd_classify(args):
     lo, hi = args.range
-    rows = (_classify_row(args.mod, n) for n in range(lo, hi))
-    return _table(_CLASSIFY_COLUMNS[args.mod], rows)
+    return _table(_CLASSIFY_COLUMNS[args.mod], map(_CLASSIFY_ROWS[args.mod], range(lo, hi)))
 
 
 def _cmd_verify(args):

@@ -197,14 +197,15 @@ def count_set_exact(n_max: int, spec: SetSpec) -> int:
     one small division per chunk of digits (six base-5 digits for div-5).
     Only a larger base**exp_step (no class label) walks the exponent
     layers, one small division each.  A negative shift can push a few low-i
-    members below zero; subtracting the count at -1 removes them.
+    members below zero; when the spec's smallest member is negative,
+    subtracting the count at -1 removes them.
     """
     if type(n_max) is not int:
         n_max = automaton._integer(n_max, "n_max")
     if n_max < 0:
         return 0
     total = _count_members_at_most(n_max, spec)
-    if spec.shift < 0:
+    if spec.smallest_member < 0:
         total -= _count_members_at_most(-1, spec)
     return total
 

@@ -307,10 +307,13 @@ class TestClassifyDiv5:
 class TestInvariantsUnderOptimize:
     """The disjointness checks must survive ``python -O``, which strips asserts."""
 
+    # Two true witnesses cannot occur, and n = 5 fails the first test of both
+    # classifiers, so each patch makes the loop find one witness twice:
+    # 5 + (-1) = 4 = (4*0 + 1) * 4**1, and 5 - (-5) = 10 = (5*0 + 2) * 5**1.
     @pytest.mark.parametrize("patch, call, message", [
-        ("classify._split = lambda x, base: (1, 1)",
+        ("classify._MOD8_DELTAS = (-1, -1)",
          "classify.classify_mod8(5)", "two (eps, delta) witnesses for n=5"),
-        ("classify._witness = lambda spec, unit, exponent: (0, 1)",
+        ("classify._DIV5_GROUPS = {(-5, 5): [(2, classify.DIV5_FORM_SPECS[1])] * 2}",
          "classify.classify_div5(5)", "two divisibility forms for n=5"),
     ], ids=["classify_mod8", "classify_div5"])
     def test_two_witnesses_raise(self, patch, call, message):

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import itertools
 import json
@@ -34,6 +35,33 @@ def parse_decimal(text: str) -> int:
 def csv_rows(out: str):
     lines = out.strip("\n").split("\n")
     return lines[0].split(","), [line.split(",") for line in lines[1:]]
+
+
+# sha256 of `classify LO..LO+4000 --mod M --format F`, recorded before the
+# classifiers' early rejects and the per-modulus row builders went in: the
+# output bytes must not change with them.
+CLASSIFY_DIGESTS = {
+    (0, 2, "csv"): "6b63203fdfacfa534e2d99b1eee81d267583acb93bab3d6829594a77d94c12b0",
+    (0, 2, "jsonl"): "3d7d0dd24bae064d81cdd46b69dc8efe44d82bfce3a8193464ea331686066612",
+    (0, 3, "csv"): "62c5f1d8b6bb9b737470defbda4d99a70aa8b12feb33e8ea2fbd2f441dfbe3ca",
+    (0, 3, "jsonl"): "c9922bfbe02ecc51b07995d3cd75d8b6558a3ebf3381c174f8597645f9d75139",
+    (0, 4, "csv"): "9a6b87870d429a23513cc481ea090e46e8b731908a2046adef294549b4dae808",
+    (0, 4, "jsonl"): "4b8f4530992fe3369fa4f3a88739107d770effb877fa3b6d3e65e115f08d4911",
+    (0, 5, "csv"): "c191d7322a8aaa6d7c237a8ceaf7cdac8f5d1f3726bb8ce65b2c5fd482d66974",
+    (0, 5, "jsonl"): "f413051902c1965fc8869197d2eb25c9fc46cc85120337f7d3fada02a30038fc",
+    (0, 8, "csv"): "8766707cea9372c9b2b027fb94730360cf525c29676361a9c9505a469cb90718",
+    (0, 8, "jsonl"): "08da2735273f90dc9f94e67d3cce988aeb0f94d9a880511fc4e576eb3c473c36",
+    (10**12 - 2000, 2, "csv"): "449969a82b007759f441686c864e65a1e3b181e88d5214c21dffaf7b67df716e",
+    (10**12 - 2000, 2, "jsonl"): "c209d04f476f9a0bb81123494957d62cb8d4ba33bae684a65c141aff761dc3f6",
+    (10**12 - 2000, 3, "csv"): "391727f73ce66e0cfa464967321274ad66a9d155eac308f7295fd38cae4c7d65",
+    (10**12 - 2000, 3, "jsonl"): "307bb9e40605b6c382564ab4b319cb777c5269ae121d0c5f6c2abd1506ada903",
+    (10**12 - 2000, 4, "csv"): "7fcf5989b1c617d25b245ba52e26498790890ebd385de5a69038278abe203c2a",
+    (10**12 - 2000, 4, "jsonl"): "ead8f55cacd8f36b58477436023b3afaf1c8bd433caac44bb353f6936ea50ccd",
+    (10**12 - 2000, 5, "csv"): "520cbf25880201c837edf7c6ddaea4cac3d0cd32a4c5be9c6c6bfaf0853ce062",
+    (10**12 - 2000, 5, "jsonl"): "df00344f4cbe031a4f800b0d95a0042095636280e7ed7a82f032df55c8ed4645",
+    (10**12 - 2000, 8, "csv"): "d4277ab0c8f6d052640982710eaf7852e200ddf627332c99aa976e1764992caf",
+    (10**12 - 2000, 8, "jsonl"): "997ff619677838780f2bbdc5f3d53416bab051a8d4fe0f6bb536f0e26238698b",
+}
 
 
 class TestCompute:
@@ -275,6 +303,14 @@ class TestClassify:
         assert out == "".join(
             json.dumps(dict(zip(columns, _classify_row(modulus, n))), separators=(",", ":")) + "\n"
             for n in range(lo, hi))
+
+    @pytest.mark.parametrize("lo, modulus, fmt", sorted(CLASSIFY_DIGESTS))
+    def test_output_bytes_are_pinned(self, capsys, lo, modulus, fmt):
+        code, out, _ = run(capsys, "classify", f"{lo}..{lo + 4000}", "--mod", str(modulus),
+                           "--format", fmt)
+        assert code == 0
+        digest = hashlib.sha256(out.encode("ascii")).hexdigest()
+        assert digest == CLASSIFY_DIGESTS[lo, modulus, fmt]
 
     def test_unsupported_modulus(self, capsys):
         code, _, err = run(capsys, "classify", "3", "--mod", "7")

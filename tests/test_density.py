@@ -155,6 +155,25 @@ class TestCountSetExact:
             n_max = rng.randrange(0, 3000)
             assert count_set_exact(n_max, spec) == brute_count(spec, n_max)
 
+    @pytest.mark.parametrize("spec", [
+        SetSpec(3, 1, 1, 0, shift=-4),
+        SetSpec(2, 1, 1, 0, shift=-3),
+        SetSpec(4, 3, 2, 1, shift=-13),
+        SetSpec(5, 1, 2, 0, shift=-30, min_j=1),
+        SetSpec(5, 2, 1, 0, shift=-3),
+    ], ids=repr)
+    def test_members_below_zero_are_taken_off(self, spec):
+        # Only a negative smallest member sends the count through n_max = -1.
+        assert spec.smallest_member == spec.member(0, spec.min_j) < 0
+        for n_max in range(-1, 400):
+            assert count_set_exact(n_max, spec) == brute_count(spec, n_max), n_max
+
+    def test_smallest_member_is_the_first_members_floor(self, classifier_specs):
+        for spec in classifier_specs + SYNTHETIC_SPECS:
+            members = [spec.member(i, j)
+                       for i in range(6) for j in range(spec.min_j, spec.min_j + 4)]
+            assert spec.smallest_member == min(members), spec
+
     def test_matches_layer_count_oracle(self, classifier_specs):
         horizons = oracle_horizons()
         for spec in classifier_specs + SYNTHETIC_SPECS:
