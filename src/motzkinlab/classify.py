@@ -9,12 +9,13 @@ ValueError.
 The mod-8 and div-5 classifiers each look at two shifted indices, n + 1 and
 n + 2.  Most fail a first test of one ``&`` (mod 8: 4 must divide it) or
 one ``%`` (div 5: 5 must divide it) and cost nothing more.  One that passes
-costs a read of its lowest set bit (mod 8) or one base-5 :func:`_split`
-(div 5), plus O(1) big-int operations; building an even or divisible result
-costs several times that.  A negative outcome allocates nothing: every odd
-mod-8 result is the one shared frozen ``Mod8Classification(Mod8Kind.ODD)``
-and every not-divisible result the one shared ``Div5Classification()``, so
-compare results with ``==``; their identity means nothing.
+costs a read of its lowest set bit (mod 8), or one base-5 :func:`_split` of
+x // 5 and one dict lookup (div 5), plus O(1) big-int operations; building
+an even or divisible result costs several times that.  A negative outcome
+allocates nothing: every odd mod-8 result is the one shared frozen
+``Mod8Classification(Mod8Kind.ODD)`` and every not-divisible result the one
+shared ``Div5Classification()``, so compare results with ``==``; their
+identity means nothing.
 """
 
 import enum
@@ -92,6 +93,8 @@ class SetSpec:
     smallest_member: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        for name in ("base", "residue", "exp_step", "exp_offset", "shift", "min_j"):
+            object.__setattr__(self, name, _integer(getattr(self, name), name))
         if self.base < 2:
             raise ValueError(f"base must be at least 2, got {self.base}")
         if not 1 <= self.residue < self.base:
@@ -118,21 +121,6 @@ class SetSpec:
         return (self.base * i + self.residue) * scale + self.shift
 
 
-def _witness(spec: SetSpec, unit: int, exponent: int) -> "tuple[int, int] | None":
-    """Witness (i, j) of ``spec`` for the number ``unit * spec.base**exponent + spec.shift``.
-
-    ``(unit, exponent)`` is the :func:`_split` of n - spec.shift by spec.base.
-    """
-    if exponent < spec.first_exponent:
-        return None
-    if unit % spec.base != spec.residue:
-        return None
-    j, off_step = divmod(exponent - spec.exp_offset, spec.exp_step)
-    if off_step:
-        return None
-    return (unit - spec.residue) // spec.base, j
-
-
 def is_in_set(n: int, spec: SetSpec) -> "tuple[int, int] | None":
     """Witness (i, j) with ``spec.member(i, j) == n``, or None.
 
@@ -144,7 +132,13 @@ def is_in_set(n: int, spec: SetSpec) -> "tuple[int, int] | None":
     shifted = n - spec.shift
     if shifted <= 0:
         return None
-    return _witness(spec, *_split(shifted, spec.base))
+    unit, exponent = _split(shifted, spec.base)
+    if exponent < spec.first_exponent or unit % spec.base != spec.residue:
+        return None
+    j, off_step = divmod(exponent - spec.exp_offset, spec.exp_step)
+    if off_step:
+        return None
+    return (unit - spec.residue) // spec.base, j
 
 
 class Mod8Kind(enum.Enum):
@@ -352,12 +346,15 @@ class Div5Classification:
 _NOT_DIVISIBLE = Div5Classification()
 
 
-# The (form, spec) pairs of DIV5_FORM_SPECS under each (shift, base), forms
-# from 1.  Every shift is negative, so n - shift >= 1 for every index n >= 0.
-_DIV5_GROUPS: "dict[tuple[int, int], list[tuple[int, SetSpec]]]" = {
-    key: [(form, spec) for form, spec in enumerate(DIV5_FORM_SPECS, start=1)
-          if (spec.shift, spec.base) == key]
-    for key in dict.fromkeys((spec.shift, spec.base) for spec in DIV5_FORM_SPECS)
+# The shifts delta in n + delta of the div-5 forms, each examined by classify_div5.
+_DIV5_DELTAS = (1, 2)
+# Each form keyed by (delta, unit % 5, e % 2) of its members' n + delta = unit * 5**e.
+# The key alone decides membership only because every form has exp_step 2 and
+# its smallest exponent is the least exponent >= 1 with its parity: the key
+# is read only for an x = n + delta that 5 divides, so e >= 1.
+_DIV5_FORMS: "dict[tuple[int, int, int], int]" = {
+    (-spec.shift, spec.residue, spec.exp_offset % spec.exp_step): form
+    for form, spec in enumerate(DIV5_FORM_SPECS, start=1)
 }
 
 
@@ -368,26 +365,27 @@ def classify_div5(n: int) -> Div5Classification:
     ``(5i+3)*5**(2j-1) - 2`` or ``(5i+4)*5**(2j) - 1`` with i >= 0, j >= 1.
     The four families are pairwise disjoint; witnesses use this indexing.
 
-    The forms share two shifts, and each form's exponent is at least 1, so
-    one ``%`` rejects n + 2, and one n + 1, unless 5 divides it; only then
-    does a base-5 :func:`_split` run.  Every not-divisible outcome is the
-    same shared frozen instance.
+    Examines x = n + 1 and x = n + 2: one ``%`` rejects an x not divisible
+    by 5, and otherwise one base-5 :func:`_split` of x // 5 writes
+    x = unit * 5**e, and one dict lookup of (delta, unit % 5, e & 1) names
+    the form, if any.  Every not-divisible outcome is the same shared
+    frozen instance.
     """
     if type(n) is not int:
         n = _integer(n, "index")
     if n < 0:
         raise ValueError(f"index must be non-negative, got {n}")
     found = None
-    for (shift, base), members in _DIV5_GROUPS.items():
-        x = n - shift
-        if x % base:
+    for delta in _DIV5_DELTAS:
+        x = n + delta
+        if x % 5:
             continue
-        unit, exponent = _split(x, base)
-        for form, spec in members:
-            hit = _witness(spec, unit, exponent)
-            if hit is not None:
-                if found is not None:
-                    raise AssertionError(f"two divisibility forms for n={n}")
-                i, j = hit
-                found = Div5Classification(form, Div5Witness(i, j + spec.exp_offset))
+        unit, e = _split(x // 5, 5)
+        e += 1
+        form = _DIV5_FORMS.get((delta, unit % 5, e & 1))
+        if form is None:
+            continue
+        if found is not None:
+            raise AssertionError(f"two divisibility forms for n={n}")
+        found = Div5Classification(form, Div5Witness(unit // 5, (e + 1) >> 1))
     return found if found is not None else _NOT_DIVISIBLE

@@ -270,10 +270,6 @@ _CLASSIFY_ROWS = {
 }
 
 
-def _classify_row(modulus: int, n: int):
-    return _CLASSIFY_ROWS[modulus](n)
-
-
 def _cmd_classify(args):
     lo, hi = args.range
     return _table(_CLASSIFY_COLUMNS[args.mod], map(_CLASSIFY_ROWS[args.mod], range(lo, hi)))
@@ -293,6 +289,9 @@ def _cmd_verify(args):
 
 
 def _cmd_density(args):
+    if args.horizon is not None and (args.selector == "table" or args.closed):
+        raise _UsageError("-N/--horizon cannot be used with "
+                          + ("table" if args.selector == "table" else "--closed"))
     if args.selector == "table":
         limits = density.density_table()
     else:

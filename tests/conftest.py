@@ -9,6 +9,7 @@ error bound of a SetSpec count.  One counts the mod8=2 and mod8=6 halves
 one exponent layer and one popcount at a time, and one counts zero-one
 numbers one base-3 digit at a time.  Two build the density lab's
 digit-chunk lookup tables with numpy, every digit of every chunk at once.
+One lists the indices at and around the edge of every classifier family.
 """
 
 import math
@@ -172,6 +173,19 @@ def t01_table_oracle(digits: int) -> array:
         largest = np.where(digit == 2, (2 << position) - 1, largest | digit << position)
         has_two |= digit == 2
     return array("h", np.where(has_two, ~largest, largest).astype(np.int16).tobytes())
+
+
+def family_boundaries(limit=10**31):
+    """Indices at and around the edges of every witness family, below ``limit``."""
+    edges = set()
+    for base, scale, shifts in ((4, 1, (1, 2, 3)), (5, 2, (1,)), (5, 3, (2,)),
+                                (25, 1, (2,)), (25, 4, (1,)), (3, 1, (-2, -1, 1, 2))):
+        power = 1
+        while scale * power < limit:
+            for shift in shifts:
+                edges.update(scale * power - shift + d for d in (-1, 0, 1))
+            power *= base
+    return sorted(n for n in edges if n >= 0)
 
 
 @pytest.fixture(scope="session")

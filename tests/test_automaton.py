@@ -30,7 +30,7 @@ from motzkinlab.classify import (
 )
 from motzkinlab.engines import iter_motzkin_exact
 
-from conftest import motzkin_convolution_oracle
+from conftest import family_boundaries, motzkin_convolution_oracle
 
 PRIME_POWERS = (2, 3, 4, 5, 7, 8, 9, 16, 25, 27)
 SWEEP = 30_000
@@ -104,6 +104,16 @@ class TestPointQueries:
     @given(st.integers(min_value=0, max_value=HUGE))
     def test_mod5_divisibility_matches_classifier(self, n):
         assert (motzkin_mod_at(n, 5) == 0) == classify_div5(n).divisible
+
+    def test_classifiers_at_family_boundaries(self):
+        edges = family_boundaries()
+        assert len(edges) > 500 and max(edges) > 10**30
+        for n in edges:
+            residue = motzkin_mod_at(n, 8)
+            predicted = classify_mod8(n).kind.residue_mod(8)
+            assert residue % 2 == 1 if predicted is None else residue == predicted, n
+            assert (motzkin_mod_at(n, 5) == 0) == classify_div5(n).divisible, n
+            assert motzkin_mod_at(n, 3) == classify_mod3(n), n
 
     @settings(deadline=None, max_examples=100)
     @given(st.integers(min_value=0, max_value=HUGE))

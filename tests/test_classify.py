@@ -27,6 +27,8 @@ from motzkinlab.classify import (
     is_t01,
 )
 
+from conftest import family_boundaries
+
 
 class TestFactorOutBase:
     def test_examples(self):
@@ -63,6 +65,19 @@ class TestSetSpec:
             SetSpec(base=5, residue=2, exp_step=2, exp_offset=-1)
         with pytest.raises(ValueError):
             SetSpec(base=5, residue=2, exp_step=2, exp_offset=1, min_j=2)
+
+    @pytest.mark.parametrize("field", ["base", "residue", "exp_step", "exp_offset",
+                                       "shift", "min_j"])
+    def test_fields_must_be_integers(self, field):
+        fields = {"base": 5, "residue": 2, "exp_step": 2, "exp_offset": 1,
+                  "shift": -1, "min_j": 0}
+        with pytest.raises(ValueError, match=f"^{field} must be an integer, got "):
+            SetSpec(**{**fields, field: float(fields[field]) + 0.5})
+        with pytest.raises(ValueError, match=f"^{field} must be an integer, got "):
+            SetSpec(**{**fields, field: float(fields[field])})
+        spec = SetSpec(**{**fields, field: np.int64(fields[field])})
+        assert spec == SetSpec(**fields) == DIV5_FORM_SPECS[1]
+        assert all(type(getattr(spec, name)) is int for name in fields)
 
     def test_member_bounds(self):
         spec = SetSpec(base=5, residue=1, exp_step=2, exp_offset=0, shift=-2, min_j=1)
@@ -307,14 +322,14 @@ class TestClassifyDiv5:
 class TestInvariantsUnderOptimize:
     """The disjointness checks must survive ``python -O``, which strips asserts."""
 
-    # Two true witnesses cannot occur, and n = 5 fails the first test of both
-    # classifiers, so each patch makes the loop find one witness twice:
-    # 5 + (-1) = 4 = (4*0 + 1) * 4**1, and 5 - (-5) = 10 = (5*0 + 2) * 5**1.
+    # Two true witnesses cannot occur, so each patch makes the loop examine
+    # one shifted index twice: 5 + (-1) = 4 = (4*0 + 1) * 4**1, and
+    # 9 + 1 = 10 = (5*0 + 2) * 5**1, a witness of form 2.
     @pytest.mark.parametrize("patch, call, message", [
         ("classify._MOD8_DELTAS = (-1, -1)",
          "classify.classify_mod8(5)", "two (eps, delta) witnesses for n=5"),
-        ("classify._DIV5_GROUPS = {(-5, 5): [(2, classify.DIV5_FORM_SPECS[1])] * 2}",
-         "classify.classify_div5(5)", "two divisibility forms for n=5"),
+        ("classify._DIV5_DELTAS = (1, 1)",
+         "classify.classify_div5(9)", "two divisibility forms for n=9"),
     ], ids=["classify_mod8", "classify_div5"])
     def test_two_witnesses_raise(self, patch, call, message):
         script = "\n".join([
@@ -356,19 +371,6 @@ def div5_reference(n):
         return Div5Classification()
     [(form, spec, (i, j))] = hits
     return Div5Classification(form, Div5Witness(i, j + spec.exp_offset))
-
-
-def family_boundaries(limit=10**31):
-    """Indices at and around the edges of every witness family, below ``limit``."""
-    edges = set()
-    for base, scale, shifts in ((4, 1, (1, 2, 3)), (5, 2, (1,)), (5, 3, (2,)),
-                                (25, 1, (2,)), (25, 4, (1,)), (3, 1, (-2, -1, 1, 2))):
-        power = 1
-        while scale * power < limit:
-            for shift in shifts:
-                edges.update(scale * power - shift + d for d in (-1, 0, 1))
-            power *= base
-    return sorted(n for n in edges if n >= 0)
 
 
 class TestAgainstSpecReference:

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from motzkinlab import checks, density, engines
-from motzkinlab.cli import _CLASSIFY_COLUMNS, _classify_row, _emit, _unlimited_int_digits, main
+from motzkinlab.cli import _CLASSIFY_COLUMNS, _CLASSIFY_ROWS, _emit, _unlimited_int_digits, main
 from motzkinlab.engines import CEILING_ENV_VAR, iter_motzkin_exact, motzkin_mod_stream
 
 
@@ -300,8 +300,9 @@ class TestClassify:
                            "--format", "jsonl")
         columns = _CLASSIFY_COLUMNS[modulus]
         assert code == 0
+        row = _CLASSIFY_ROWS[modulus]
         assert out == "".join(
-            json.dumps(dict(zip(columns, _classify_row(modulus, n))), separators=(",", ":")) + "\n"
+            json.dumps(dict(zip(columns, row(n))), separators=(",", ":")) + "\n"
             for n in range(lo, hi))
 
     @pytest.mark.parametrize("lo, modulus, fmt", sorted(CLASSIFY_DIGESTS))
@@ -443,6 +444,17 @@ class TestDensity:
         assert code == 2
         assert out == ""
         assert err == "error: -N/--horizon is required unless --closed\n"
+
+    @pytest.mark.parametrize("argv, context", [
+        (("density", "table", "-N", "5"), "table"),
+        (("density", "even", "--closed", "-N", "0"), "--closed"),
+        (("density", "div5", "-N", "1000", "--closed"), "--closed"),
+    ], ids=["table", "closed_invalid_horizon", "closed"])
+    def test_horizon_refused_without_a_count(self, capsys, argv, context):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: -N/--horizon cannot be used with {context}\n"
 
     def test_bad_horizon_and_parts(self, capsys):
         code, out, err = run(capsys, "density", "even", "-N", "0")
