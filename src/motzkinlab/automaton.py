@@ -61,8 +61,8 @@ if TYPE_CHECKING:
 # the S^d in the matrices; a matvec sums D products below p**(2a), and the
 # pre-check keeps p**(2a) · D <= 4096² · 66, far inside int64.  Every prime
 # power that fits passes it (27 is the largest, at 243); those it lets through
-# that do not fit, 64, 81, 125 and the primes 67 to 79, outgrow the cap during
-# their builds (2-vCPU Xeon: 20 ms mod 64).  Every prime from 83 up is refused
+# that do not fit, 32, 49, 64, 81, 121, 125, 169 and the primes 67 to 79,
+# outgrow the cap during their builds (2-vCPU Xeon: 20 ms mod 64).  Every prime from 83 up is refused
 # by _one_digit_outputs before any matrix is built (under 5 ms mod 4093).
 MAX_TABLE_ENTRIES = 4096
 

@@ -23,16 +23,16 @@ other so they can cross-check:
   no exact count loads numpy,
 * counts obtained by streaming every index (:func:`count_class_in_range`),
   the O(N) cross-check on the exact counters: each residue class through
-  the automaton of M(n) mod m itself, each index family through a digit
+  the automaton of M(n) mod p**a itself, each index family through a digit
   machine of its own; plus residue counts from the modular stream
   (:func:`empirical_residue_distribution`).  These two import numpy when
   they run.
 
 Each class label has one entry in an ordered registry that holds its
-limit, its per-chunk count, and one call that returns its exact count
-together with its error bound; the registry labels are the only
-selectors.  Disjoint unions of :class:`SetSpec` families sum their limit and
-exact count over their specs; a residue class sweeps M(n) mod m instead.
+limit, its digit machine with the output that marks a member, and one call
+that returns its exact count together with its error bound; the registry
+labels are the only selectors.  Disjoint unions of :class:`SetSpec`
+families sum their limit and exact count over their specs.
 """
 
 import math
@@ -40,15 +40,12 @@ from array import array
 from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, lru_cache
-from typing import TYPE_CHECKING, NamedTuple
+from functools import cache, lru_cache, partial
+from typing import NamedTuple
 
 from . import automaton, bulk
 from .classify import DIV5_FORM_SPECS, MOD8_CLASS_SPECS, SetSpec, is_t01
 from .engines import ensure_within_ceiling, motzkin_mod_stream
-
-if TYPE_CHECKING:
-    import numpy as np
 
 _CHUNK = 1 << 20
 
@@ -298,22 +295,24 @@ def _t01_ceiling(n_max: int) -> int:
 class _ClassEntry(NamedTuple):
     """Everything the density lab knows about one residue class.
 
-    ``count`` counts the members in one int64 chunk of indices through a
-    digit machine (:func:`_swept`): the automaton of M(n) mod m for the nine
-    residue classes, a machine of its own for each index family
-    (``eps*_delta*``, ``div5_form*``, ``t01``); ``exact(n_max)`` is one call
-    for (members in [0, n_max], a bound on |that count - n_max * limit|), in
-    O(log n_max) steps and for any n_max >= -1.  ``count`` shares no code
-    with ``exact``, so the sweep checks it.
+    ``machine()`` builds (or fetches from its cache) the digit machine that
+    outputs ``accepted`` exactly on the members: the automaton of M(n) mod
+    p**a for the nine residue classes, a machine of its own for each index
+    family (``eps*_delta*``, ``div5_form*``, ``t01``, which output 1).
+    ``exact(n_max)`` is one call for (members in [0, n_max], a bound on
+    |that count - n_max * limit|), in O(log n_max) steps and for any
+    n_max >= -1.  The machine shares no code with ``exact``, so sweeping
+    it (:func:`count_class_in_range`) checks ``exact``.
     """
 
     limit: Fraction
-    count: "Callable[[np.ndarray], int]"
+    machine: "Callable[[], automaton._Automaton]"
+    accepted: int
     exact: "Callable[[int], tuple[int, Fraction]]"
 
 
-def _spec_union(specs, count: "Callable[[np.ndarray], int]") -> _ClassEntry:
-    """Entry for a disjoint union of SetSpec families, with the chunk count ``count``.
+def _spec_union(specs, machine, accepted: int) -> _ClassEntry:
+    """Entry for a disjoint union of SetSpec families, swept as ``machine()`` outputs ``accepted``.
 
     The limit sums :func:`set_density` over the specs and the pair sums
     :func:`count_set_exact`; the bound sums their integer bound numerators
@@ -327,26 +326,7 @@ def _spec_union(specs, count: "Callable[[np.ndarray], int]") -> _ClassEntry:
         return (sum(count_set_exact(n_max, spec) for spec in specs),
                 Fraction(sum(_bound_numerator(n_max, spec) for spec in specs), base))
 
-    return _ClassEntry(limit=sum(map(set_density, specs), Fraction(0)), count=count, exact=exact)
-
-
-def _swept(accepted: int, machine, *args) -> "Callable[[np.ndarray], int]":
-    """Counts the indices where ``machine(*args)``, built on first use, outputs ``accepted``."""
-    def count(arr: "np.ndarray") -> int:
-        import numpy as np
-
-        return int(np.count_nonzero(machine(*args).residues(arr) == accepted))
-    return count
-
-
-def _family(spec: SetSpec) -> _ClassEntry:
-    """Entry for one SetSpec index family, its chunks swept by its digit machine."""
-    return _spec_union([spec], _swept(1, automaton._spec_machine, spec))
-
-
-def _residue_count(modulus: int, value: int) -> "Callable[[np.ndarray], int]":
-    """Chunk counter for the indices n with M(n) = value mod ``modulus``, a prime power."""
-    return _swept(value, automaton._automaton, *automaton._prime_powers(modulus)[0])
+    return _ClassEntry(sum(map(set_density, specs), Fraction(0)), machine, accepted, exact)
 
 
 def _parity_tilt(n_max: int, spec: SetSpec) -> "tuple[int, int]":
@@ -402,17 +382,21 @@ def _build_registry() -> "dict[str, _ClassEntry]":
 
     Limits and (count, bound) pairs of spec unions are derived from their
     specs, the mod8=2 and mod8=6 halves split the mod4=2 pair, and mod 3
-    and zero-one entries state theirs.  Every residue class counts its
-    chunks from M(n) mod m, each index family from its own machine.  The
-    test suite checks every limit against hand-computed rationals and every
-    exact counter against the sweep.
+    and zero-one entries state theirs.  Every residue class names the prime
+    power p**a whose automaton it sweeps and the residue it accepts; each
+    index family names its own machine, which accepts 1.  The test suite
+    checks every limit against hand-computed rationals and every exact
+    counter against the sweep.
     """
     mod8 = MOD8_CLASS_SPECS
-    registry = {"even": _spec_union(mod8.values(), _residue_count(2, 0))}
+    mod8_machine = partial(automaton._automaton, 2, 3)
+    registry = {"even": _spec_union(mod8.values(), partial(automaton._automaton, 2, 1), 0)}
     for (eps, delta), spec in mod8.items():
-        registry[f"eps{eps}_delta{delta}"] = _family(spec)
-    registry["mod8=4"] = _spec_union([mod8[(1, 1)], mod8[(3, 2)]], _residue_count(8, 4))
-    two_or_six = _spec_union([mod8[(1, 2)], mod8[(3, 1)]], _residue_count(4, 2))
+        registry[f"eps{eps}_delta{delta}"] = _spec_union(
+            [spec], partial(automaton._spec_machine, spec), 1)
+    registry["mod8=4"] = _spec_union([mod8[(1, 1)], mod8[(3, 2)]], mod8_machine, 4)
+    two_or_six = _spec_union([mod8[(1, 2)], mod8[(3, 1)]],
+                             partial(automaton._automaton, 2, 2), 2)
 
     # n = (4i + eps) * 4**e - delta gives 2 or 6 by the parity of the one
     # bits of 4i + eps - 1: those of i for eps = 1, one more for eps = 3.
@@ -429,21 +413,23 @@ def _build_registry() -> "dict[str, _ClassEntry]":
 
     for code, sign in ((2, 1), (6, -1)):
         registry[f"mod8={code}"] = _ClassEntry(
-            two_or_six.limit / 2, _residue_count(8, code), half_exact(sign))
+            two_or_six.limit / 2, mod8_machine, code, half_exact(sign))
     registry["mod4=2"] = two_or_six
     # M(n) mod 3 is nonzero only where n // 3 or n // 3 + 1 is a zero-one
     # number: at most two zero-one counts per nonzero residue, and for
     # residue 0 both of those plus one.
+    mod3_machine = partial(automaton._automaton, 3, 1)
     for value in range(3):
         registry[f"mod3={value}"] = _ClassEntry(
-            Fraction(1 if value == 0 else 0), _residue_count(3, value),
+            Fraction(1 if value == 0 else 0), mod3_machine, value,
             lambda n_max, value=value: (_mod3_counts(n_max)[value],
                                         (3 if value == 0 else 2) * _t01_ceiling(n_max)))
-    registry["div5"] = _spec_union(DIV5_FORM_SPECS, _residue_count(5, 0))
+    registry["div5"] = _spec_union(DIV5_FORM_SPECS, partial(automaton._automaton, 5, 1), 0)
     for form, spec in enumerate(DIV5_FORM_SPECS, start=1):
-        registry[f"div5_form{form}"] = _family(spec)
+        registry[f"div5_form{form}"] = _spec_union(
+            [spec], partial(automaton._spec_machine, spec), 1)
     registry["t01"] = _ClassEntry(
-        Fraction(0), _swept(1, automaton._t01_machine),
+        Fraction(0), automaton._t01_machine, 1,
         lambda n_max: (count_t01_upto(n_max), _t01_ceiling(n_max)))
     return registry
 
@@ -473,24 +459,28 @@ def density_limit(selector) -> Fraction:
 def count_class_in_range(selector, lo: int, hi: int) -> int:
     """Class members with lo <= n < hi, streamed through the class's digit machine.
 
-    O(hi - lo) and capped at ``bulk.MAX_INDEX``: the independent cross-check
-    on the exact counters that :func:`empirical_density` reports.  Each
-    chunk goes through one digit machine: M(n) mod m itself for every
-    residue class (``even``, ``mod8=*``, ``mod4=2``, ``mod3=*``, ``div5``),
-    each index family's own.  ``lo`` and ``hi`` must be integers.
+    O(hi - lo), for every index up to ``bulk.MAX_INDEX`` (so ``hi`` is at
+    most MAX_INDEX + 1): the independent cross-check on the exact counters
+    that :func:`empirical_density` reports.  The entry's machine is built
+    once; each int64 chunk of indices goes through it, and the indices
+    where it outputs the entry's accepted value are counted.  That machine
+    is M(n) mod p**a itself for every residue class (``even``, ``mod8=*``,
+    ``mod4=2``, ``mod3=*``, ``div5``), each index family's own otherwise.
+    ``lo`` and ``hi`` must be integers.
     """
     import numpy as np
 
     lo, hi = automaton._integer(lo, "lo"), automaton._integer(hi, "hi")
     if not 0 <= lo <= hi:
         raise ValueError(f"need 0 <= lo <= hi, got [{lo}, {hi})")
-    if hi > bulk.MAX_INDEX:
-        raise ValueError(f"horizon must be at most {bulk.MAX_INDEX}")
-    count = _entry(selector).count
+    if hi > bulk.MAX_INDEX + 1:
+        raise ValueError(f"hi must be at most {bulk.MAX_INDEX + 1}")
+    entry = _entry(selector)
+    machine, accepted = entry.machine(), entry.accepted
     total = 0
     for start in range(lo, hi, _CHUNK):
-        stop = min(start + _CHUNK, hi)
-        total += count(np.arange(start, stop, dtype=np.int64))
+        chunk = np.arange(start, min(start + _CHUNK, hi), dtype=np.int64)
+        total += int(np.count_nonzero(machine.residues(chunk) == accepted))
     return total
 
 

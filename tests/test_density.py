@@ -477,6 +477,27 @@ class TestEmpiricalDensity:
         assert empirical_density("div5", horizon).observed_count != \
             count_class_in_range("div5", 0, horizon)
 
+    @pytest.mark.parametrize("label", ALL_LABELS)
+    def test_sweep_reaches_max_index(self, label):
+        lo, hi = MAX_INDEX - 3000, MAX_INDEX + 1
+        exact = _REGISTRY[label].exact
+        assert count_class_in_range(label, lo, hi) == exact(hi - 1)[0] - exact(lo - 1)[0]
+
+    @pytest.mark.parametrize("label", ALL_LABELS)
+    def test_exact_counts_match_the_scalar_walk(self, label):
+        # Past int64 no sweep reaches, so each label's machine reads the
+        # indices one at a time: for a residue class it is M(n) mod p**a.
+        # The windows straddle 2**63, family edges and powers of 3, 4 and 5.
+        entry = _REGISTRY[label]
+        machine = entry.machine()
+        windows = [(10**30, 3000), (3**70 + 12345, 3000), (2**63 - 1500, 3000),
+                   *((edge - 64, 128) for edge in (4**40, 2 * 5**30, 3 * 5**31, 3**45)),
+                   (10**4000 + 7, 20)]
+        for lo, length in windows:
+            hi = lo + length
+            walked = sum(machine.residue(n) == entry.accepted for n in range(lo, hi))
+            assert walked == entry.exact(hi - 1)[0] - entry.exact(lo - 1)[0], (label, lo)
+
     @pytest.mark.parametrize("selector", ALL_LABELS)
     def test_error_bound_dominates_discrepancy(self, selector):
         report = empirical_density(selector, 10**5)
@@ -504,6 +525,8 @@ class TestEmpiricalDensity:
             empirical_density("no-such-class", 10)
         with pytest.raises(ValueError):
             count_class_in_range("even", 5, 4)
+        with pytest.raises(ValueError, match="^hi must be at most"):
+            count_class_in_range("even", MAX_INDEX, MAX_INDEX + 2)
 
     @pytest.mark.parametrize("call, name", [
         (lambda: empirical_density("mod8=2", 1000.0), "horizon"),
