@@ -1,6 +1,6 @@
-"""Index arrays as the sweeps take them: :func:`checked_indices` makes values
-an int64 array, or raises ValueError unless each is an integer (any integer
-dtype) in [0, MAX_INDEX].  The sweeps run on the digit machines of
+"""Index arrays as the array walks take them: :func:`checked_indices` makes
+values an int64 array, or raises ValueError unless each is an integer (any
+integer dtype) in [0, MAX_INDEX].  The walks run on the digit machines of
 :mod:`motzkinlab.automaton`.  numpy is imported by the check, not by the
 module.
 """

@@ -21,10 +21,11 @@ other so they can cross-check:
   same way as div-5.  The tables are
   built in pure Python on first use; importing the module builds none, and
   no exact count loads numpy,
-* counts obtained by streaming every index (:func:`count_class_in_range`),
-  the O(N) cross-check on the exact counters: each residue class through
-  the automaton of M(n) mod p**a itself, each index family through a digit
-  machine of its own; plus residue counts from the modular stream
+* counts obtained by reading every index of a window
+  (:func:`count_class_in_range`), the O(hi - lo) cross-check on the exact
+  counters at any magnitude: each residue class through the automaton of
+  M(n) mod p**a itself, each index family through a digit machine of its
+  own; plus residue counts from the modular stream
   (:func:`empirical_residue_distribution`).  These two import numpy when
   they run.
 
@@ -43,11 +44,9 @@ from fractions import Fraction
 from functools import cache, lru_cache, partial
 from typing import NamedTuple
 
-from . import automaton, bulk
+from . import automaton
 from .classify import DIV5_FORM_SPECS, MOD8_CLASS_SPECS, SetSpec, is_t01
 from .engines import ensure_within_ceiling, motzkin_mod_stream
-
-_CHUNK = 1 << 20
 
 
 def closed_density(base: int, exp_step: int, exp_offset: int,
@@ -457,31 +456,23 @@ def density_limit(selector) -> Fraction:
 
 
 def count_class_in_range(selector, lo: int, hi: int) -> int:
-    """Class members with lo <= n < hi, streamed through the class's digit machine.
+    """Class members with lo <= n < hi, swept through the class's digit machine.
 
-    O(hi - lo), for every index up to ``bulk.MAX_INDEX`` (so ``hi`` is at
-    most MAX_INDEX + 1): the independent cross-check on the exact counters
-    that :func:`empirical_density` reports.  The entry's machine is built
-    once; each int64 chunk of indices goes through it, and the indices
-    where it outputs the entry's accepted value are counted.  That machine
-    is M(n) mod p**a itself for every residue class (``even``, ``mod8=*``,
-    ``mod4=2``, ``mod3=*``, ``div5``), each index family's own otherwise.
-    ``lo`` and ``hi`` must be integers.
+    O(hi - lo), for any integers 0 <= lo <= hi, past 2**63 and 4300 digits
+    alike: the independent cross-check on the exact counters that
+    :func:`empirical_density` reports.  The entry's machine reads every
+    index of the window (:meth:`automaton._Automaton.count_window`), and
+    the indices where it outputs the entry's accepted value are counted.
+    That machine is M(n) mod p**a itself for every residue class (``even``,
+    ``mod8=*``, ``mod4=2``, ``mod3=*``, ``div5``), each index family's own
+    otherwise.
     """
-    import numpy as np
-
     lo, hi = automaton._integer(lo, "lo"), automaton._integer(hi, "hi")
-    if not 0 <= lo <= hi:
-        raise ValueError(f"need 0 <= lo <= hi, got [{lo}, {hi})")
-    if hi > bulk.MAX_INDEX + 1:
-        raise ValueError(f"hi must be at most {bulk.MAX_INDEX + 1}")
+    if lo < 0 or lo > hi:
+        # No bound is printed: past 4300 digits it could not be formatted.
+        raise ValueError(f"need 0 <= lo <= hi, got {'lo < 0' if lo < 0 else 'lo > hi'}")
     entry = _entry(selector)
-    machine, accepted = entry.machine(), entry.accepted
-    total = 0
-    for start in range(lo, hi, _CHUNK):
-        chunk = np.arange(start, min(start + _CHUNK, hi), dtype=np.int64)
-        total += int(np.count_nonzero(machine.residues(chunk) == accepted))
-    return total
+    return entry.machine().count_window(lo, hi, entry.accepted)
 
 
 @dataclass(frozen=True)

@@ -485,9 +485,10 @@ class TestEmpiricalDensity:
 
     @pytest.mark.parametrize("label", ALL_LABELS)
     def test_exact_counts_match_the_scalar_walk(self, label):
-        # Past int64 no sweep reaches, so each label's machine reads the
-        # indices one at a time: for a residue class it is M(n) mod p**a.
-        # The windows straddle 2**63, family edges and powers of 3, 4 and 5.
+        # Past int64 each label's machine also reads the indices one at a
+        # time, the independent reference for both the exact count and the
+        # window walk: for a residue class it is M(n) mod p**a.  The
+        # windows straddle 2**63, family edges and powers of 3, 4 and 5.
         entry = _REGISTRY[label]
         machine = entry.machine()
         windows = [(10**30, 3000), (3**70 + 12345, 3000), (2**63 - 1500, 3000),
@@ -497,6 +498,7 @@ class TestEmpiricalDensity:
             hi = lo + length
             walked = sum(machine.residue(n) == entry.accepted for n in range(lo, hi))
             assert walked == entry.exact(hi - 1)[0] - entry.exact(lo - 1)[0], (label, lo)
+            assert walked == count_class_in_range(label, lo, hi), (label, lo)
 
     @pytest.mark.parametrize("selector", ALL_LABELS)
     def test_error_bound_dominates_discrepancy(self, selector):
@@ -525,8 +527,17 @@ class TestEmpiricalDensity:
             empirical_density("no-such-class", 10)
         with pytest.raises(ValueError):
             count_class_in_range("even", 5, 4)
-        with pytest.raises(ValueError, match="^hi must be at most"):
-            count_class_in_range("even", MAX_INDEX, MAX_INDEX + 2)
+        # No cap on hi: the window past MAX_INDEX is counted like any other.
+        exact = _REGISTRY["even"].exact
+        assert count_class_in_range("even", MAX_INDEX, MAX_INDEX + 2) == \
+            exact(MAX_INDEX + 1)[0] - exact(MAX_INDEX - 1)[0]
+
+    @pytest.mark.parametrize("lo, hi", [(5, 4), (-1, 10), (10**5000, 0), (-10**5000, 10**5000)],
+                             ids=["lo > hi", "lo < 0", "lo > hi, 5001 digits", "lo < 0, 5001 digits"])
+    def test_range_refusal_prints_no_bound(self, lo, hi):
+        # A bound past 4300 digits cannot be formatted, so none is printed.
+        with pytest.raises(ValueError, match="^need 0 <= lo <= hi"):
+            count_class_in_range("even", lo, hi)
 
     @pytest.mark.parametrize("call, name", [
         (lambda: empirical_density("mod8=2", 1000.0), "horizon"),
@@ -556,6 +567,59 @@ class TestEmpiricalDensity:
             assert type(value) is type(expected) and value == expected
         with pytest.raises(ValueError, match="^n_max must be an integer, got 10.5$"):
             call(10.5)
+
+
+def array_walk_count(machine, lo: int, hi: int, accepted: int) -> int:
+    """Indices in [lo, hi) where ``machine.residues`` gives ``accepted``, in int64 chunks."""
+    total = 0
+    for start in range(lo, hi, 1 << 20):
+        indices = np.arange(start, min(start + (1 << 20), hi), dtype=np.int64)
+        total += int(np.count_nonzero(machine.residues(indices) == accepted))
+    return total
+
+
+class TestWindowWalk:
+    """count_class_in_range folds each high part once and reads the window row by row."""
+
+    @pytest.mark.parametrize("label", ALL_LABELS)
+    def test_matches_the_array_walk(self, label):
+        # The array walk divides every index by B once per digit; the
+        # window walk splits n = d0 + B*d1 + B**2*h instead.
+        entry = _REGISTRY[label]
+        machine = entry.machine()
+        base = machine.base
+        square = base * base
+        windows = {"empty": (base + 5, base + 5), "one index": (2 * base + 3, 2 * base + 4),
+                   "[0, B)": (0, base), "across B": (3 * base - 7, 3 * base + 9),
+                   "across B**2": (square - 2 * base - 3, square + base + 5),
+                   "across 2*B**3": (2 * base * square - 2 * base - 3, 2 * base * square + base + 5),
+                   "to MAX_INDEX": (MAX_INDEX - 3000, MAX_INDEX + 1)}
+        for name, (lo, hi) in windows.items():
+            swept = array_walk_count(machine, lo, hi, entry.accepted)
+            assert count_class_in_range(label, lo, hi) == swept, name
+
+    @pytest.mark.parametrize("label", ALL_LABELS)
+    def test_a_whole_high_part(self, label):
+        # [B**2 - 3, 2*B**2 + 3) holds every index of high part 1.  The
+        # array walk joins the exact count where B**2 is at most 2**24
+        # (bases 512, 2048 and 3125); for t01 (B = 3**9) it would have to
+        # read 3.9e8 indices.
+        entry = _REGISTRY[label]
+        machine = entry.machine()
+        square = machine.base ** 2
+        lo, hi = square - 3, 2 * square + 3
+        counted = count_class_in_range(label, lo, hi)
+        assert counted == entry.exact(hi - 1)[0] - entry.exact(lo - 1)[0]
+        if square <= 1 << 24:
+            assert counted == array_walk_count(machine, lo, hi, entry.accepted)
+
+    @pytest.mark.parametrize("label", ALL_LABELS)
+    def test_matches_exact_counts_at_any_magnitude(self, label):
+        entry = _REGISTRY[label]
+        for lo in (10**30, 3**70 + 12345, 2**63 - 1500, 10**4000 + 7):
+            hi = lo + 2**16
+            expected = entry.exact(hi - 1)[0] - entry.exact(lo - 1)[0]
+            assert count_class_in_range(label, lo, hi) == expected, lo
 
 
 # Horizons where the exact counters meet the digit-machine sweep, in
