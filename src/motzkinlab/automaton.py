@@ -39,8 +39,8 @@ the Chinese remainder theorem.
 state array and one gather per base-p^k digit of the largest index;
 ``motzkin_mod_array(m, count)`` runs it on 0, ..., count − 1.  A machine's
 ``count_window(lo, hi, accepted)`` counts the n in [lo, hi) it maps to
-``accepted``, at any magnitude: it folds the digits above the low three
-once per B³ indices and then reads each index with one lookup.
+``accepted``, at any magnitude: it folds the digits above the low two
+once per B² indices and then reads each index with one lookup.
 """
 
 from dataclasses import dataclass
@@ -120,16 +120,15 @@ class _Automaton:
         """How many n with lo <= n < hi this machine maps to ``accepted``, for any 0 <= lo <= hi.
 
         With B the base, n = d0 + B·d1 + B²·h is read d0 first, then d1,
-        then the digits of the high part h.  The digits of h // B fold once
-        into a map over all states (``upper = table[upper, digit]``), shared
-        by the B high parts that have them, and ``member[d1, s]`` says
-        whether d1, h mod B and then h // B lead from s to an accepted
-        output.  Index n is then one lookup, ``member[d1, table[0, d0]]``,
-        taken for whole rows of one d1 at a time, up to MAX_WINDOW_GATHER
-        indices per gather.  Below B² (h = 0), and below B (d1 = 0 too),
-        this reads zeros above n's top digit, and a zero digit keeps the
-        output.  So every index is read, in O(hi − lo) lookups plus
-        O(states·B) per high part and O(states·digits of h) per B of them,
+        then the digits of the high part h.  For each high part, h's digits
+        fold once into a map over all states (``upper = table[upper, digit]``),
+        and ``member[d1, s]`` says whether d1 and then h lead from s to an
+        accepted output.  Index n is then one lookup,
+        ``member[d1, table[0, d0]]``, taken for whole rows of one d1 at a
+        time, up to MAX_WINDOW_GATHER indices per gather.  Below B² (h = 0),
+        and below B (d1 = 0 too), this reads zeros above n's top digit, and
+        a zero digit keeps the output.  So every index is read, in
+        O(hi − lo) lookups plus O(states·(B + digits of h)) per high part,
         and no index needs to fit int64.
         """
         import numpy as np
@@ -137,15 +136,13 @@ class _Automaton:
         base, table = self.base, self.table
         square, rows = base * base, max(1, MAX_WINDOW_GATHER // base)
         hits, first = self.output == accepted, table[0]
-        total, upper_part = 0, None
+        total = 0
         for high in range(lo // square, -(-hi // square)):
-            if high // base != upper_part:
-                upper_part = rest = high // base
-                upper = np.arange(len(table))
-                while rest:
-                    rest, digit = divmod(rest, base)
-                    upper = table[upper, digit]
-            member = hits[upper[table[:, high % base]]][table.T]
+            upper, rest = np.arange(len(table)), high
+            while rest:
+                rest, digit = divmod(rest, base)
+                upper = table[upper, digit]
+            member = hits[upper][table.T]
             start, stop = max(lo - high * square, 0), min(hi - high * square, square)
             top_row = -(-stop // base)
             for row in range(start // base, top_row, rows):

@@ -599,19 +599,24 @@ class TestWindowWalk:
             assert count_class_in_range(label, lo, hi) == swept, name
 
     @pytest.mark.parametrize("label", ALL_LABELS)
-    def test_a_whole_high_part(self, label):
-        # [B**2 - 3, 2*B**2 + 3) holds every index of high part 1.  The
-        # array walk joins the exact count where B**2 is at most 2**24
-        # (bases 512, 2048 and 3125); for t01 (B = 3**9) it would have to
-        # read 3.9e8 indices.
+    def test_high_part_one(self, label):
+        # Where B**2 is at most 2**22 (bases 512 and 2048), the window holds
+        # every index of high part 1, and the array walk joins the exact
+        # count.  For larger bases that would read 10**7 to 3.9e8 indices,
+        # so each edge of high part 1 gets a window of 2**22, over several
+        # gathers, against the exact count.
         entry = _REGISTRY[label]
         machine = entry.machine()
         square = machine.base ** 2
-        lo, hi = square - 3, 2 * square + 3
-        counted = count_class_in_range(label, lo, hi)
-        assert counted == entry.exact(hi - 1)[0] - entry.exact(lo - 1)[0]
-        if square <= 1 << 24:
-            assert counted == array_walk_count(machine, lo, hi, entry.accepted)
+        if square <= 1 << 22:
+            windows = [(square - 3, 2 * square + 3)]
+        else:
+            windows = [(square - 3, square + (1 << 22)), (2 * square - (1 << 22), 2 * square + 3)]
+        for lo, hi in windows:
+            counted = count_class_in_range(label, lo, hi)
+            assert counted == entry.exact(hi - 1)[0] - entry.exact(lo - 1)[0], lo
+            if square <= 1 << 22:
+                assert counted == array_walk_count(machine, lo, hi, entry.accepted)
 
     @pytest.mark.parametrize("label", ALL_LABELS)
     def test_matches_exact_counts_at_any_magnitude(self, label):
@@ -653,7 +658,7 @@ class TestExactCounts:
             assert exact == scalar_class_count(label, lo, hi), lo
 
     def test_past_the_sweep(self):
-        # No sweep reaches 10**30: check how the classes partition, and the bounds.
+        # A sweep to 10**30 would never end: check how the classes partition, and the bounds.
         horizon = 10**30
         counts = {label: empirical_density(label, horizon).observed_count for label in ALL_LABELS}
         assert_partitions(counts)
