@@ -10,8 +10,10 @@ The mod-8 and div-5 classifiers each look at two shifted indices, n + 1 and
 n + 2.  Most fail a first test of one ``&`` (mod 8: 4 must divide it) or
 one ``%`` (div 5: 5 must divide it) and cost nothing more.  One that passes
 costs a read of its lowest set bit (mod 8), or one base-5 :func:`_split` of
-x // 5 and one dict lookup (div 5), plus O(1) big-int operations; building
-an even or divisible result costs several times that.  A negative outcome
+x // 5 and one dict lookup (div 5), plus O(1) big-int operations.  Its
+result then costs little more than its checks: the witness is built straight
+from a tuple, and the frozen result's own ``__init__`` checks its fields and
+writes each once.  A negative outcome
 allocates nothing: every odd mod-8 result is the one shared frozen
 ``Mod8Classification(Mod8Kind.ODD)`` and every not-divisible result the one
 shared ``Div5Classification()``, so compare results with ``==``; their
@@ -22,6 +24,11 @@ import enum
 import operator
 from dataclasses import dataclass, field
 from typing import NamedTuple
+
+
+# Builds a NamedTuple witness from a tuple of its fields without the Python-level
+# ``__new__`` frame, as NamedTuple's ``_make`` does.
+_new_tuple = tuple.__new__
 
 
 def _integer(value, name: str) -> int:
@@ -181,23 +188,42 @@ class Mod8Witness(NamedTuple):
     j: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Mod8Classification:
-    """Outcome of :func:`classify_mod8` with its witness data."""
+    """Outcome of :func:`classify_mod8` with its witness data.
+
+    Every construction checks that the kind is a :class:`Mod8Kind`, that the
+    witness comes exactly with an even kind, and that the one-bit count comes
+    exactly with kinds 2 and 6, as an int whose parity picks the kind.  The
+    hand-written ``__init__``, which ``dataclasses.replace`` calls too, runs
+    those checks and then writes each field once, so an even result costs
+    little more than its checks.
+    """
 
     kind: Mod8Kind
     witness: "Mod8Witness | None" = None
     ones_count: "int | None" = None  # one bits of 4*i + eps - 1; parity picks 2 vs 6
 
-    def __post_init__(self) -> None:
-        # Read off the kind's residue: Mod8Kind.X lookups cost more than the checks.
-        residue = self.kind.even_residue
-        if (self.witness is None) != (residue is None):
+    def __init__(self, kind: Mod8Kind, witness: "Mod8Witness | None" = None,
+                 ones_count: "int | None" = None) -> None:
+        if type(kind) is not Mod8Kind:
+            raise ValueError(f"kind must be a Mod8Kind, got {kind!r}")
+        residue = kind._residues[8]
+        if (witness is None) != (residue is None):
             raise ValueError("witness must be present exactly for even kinds")
-        if (self.ones_count is None) == (residue in (2, 6)):
+        if (ones_count is None) == (residue in (2, 6)):
             raise ValueError("ones_count must be present exactly for kinds 2 and 6")
-        if self.ones_count is not None and residue != (6 if self.ones_count % 2 else 2):
-            raise ValueError("ones_count parity disagrees with the kind")
+        if ones_count is not None:
+            if type(ones_count) is not int:
+                raise ValueError(f"ones_count must be an int, got {ones_count!r}")
+            if residue != (6 if ones_count & 1 else 2):
+                raise ValueError("ones_count parity disagrees with the kind")
+        # The frozen __setattr__ refuses every write; the instance dict takes
+        # them at a fraction of the cost of object.__setattr__.
+        fields = self.__dict__
+        fields["kind"] = kind
+        fields["witness"] = witness
+        fields["ones_count"] = ones_count
 
     @property
     def is_even(self) -> bool:
@@ -254,7 +280,7 @@ def classify_mod8(n: int) -> Mod8Classification:
         return _ODD
     delta, unit, exponent = match
     eps = unit & 3
-    witness = Mod8Witness(eps, delta, unit >> 2, exponent - 1)
+    witness = _new_tuple(Mod8Witness, (eps, delta, unit >> 2, exponent - 1))
     if (eps == 1) == (delta == 1):  # (eps, delta) is (1, 1) or (3, 2)
         return Mod8Classification(_RESIDUE_4, witness)
     ones = (unit - 1).bit_count()
@@ -316,18 +342,30 @@ class Div5Witness(NamedTuple):
     j: int  # canonical indexing: exponent 2j (forms 1, 4) or 2j - 1 (forms 2, 3)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Div5Classification:
-    """Which of the four divisible-by-5 index forms n matches, if any."""
+    """Which of the four divisible-by-5 index forms n matches, if any.
+
+    Every construction checks that the form and the witness come together and
+    that the form is an int in 1..4.  The hand-written ``__init__``, which
+    ``dataclasses.replace`` calls too, runs those checks and then writes each
+    field once.
+    """
 
     form: "int | None" = None
     witness: "Div5Witness | None" = None
 
-    def __post_init__(self) -> None:
-        if (self.form is None) != (self.witness is None):
+    def __init__(self, form: "int | None" = None, witness: "Div5Witness | None" = None) -> None:
+        if (form is None) != (witness is None):
             raise ValueError("form and witness must be present together")
-        if self.form is not None and self.form not in (1, 2, 3, 4):
-            raise ValueError(f"form must be in 1..4, got {self.form}")
+        if form is not None:
+            if type(form) is not int:
+                raise ValueError(f"form must be an int, got {form!r}")
+            if form not in (1, 2, 3, 4):
+                raise ValueError(f"form must be in 1..4, got {form}")
+        fields = self.__dict__
+        fields["form"] = form
+        fields["witness"] = witness
 
     @property
     def divisible(self) -> bool:
@@ -387,5 +425,5 @@ def classify_div5(n: int) -> Div5Classification:
             continue
         if found is not None:
             raise AssertionError(f"two divisibility forms for n={n}")
-        found = Div5Classification(form, Div5Witness(unit // 5, (e + 1) >> 1))
+        found = Div5Classification(form, _new_tuple(Div5Witness, (unit // 5, (e + 1) >> 1)))
     return found if found is not None else _NOT_DIVISIBLE

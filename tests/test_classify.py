@@ -1,4 +1,7 @@
+import copy
+import dataclasses
 import os
+import pickle
 import subprocess
 import sys
 from dataclasses import FrozenInstanceError
@@ -415,6 +418,100 @@ class TestSharedNegativeResults:
             setattr(outcome, field, value)
         assert classify_mod8(4) == Mod8Classification(Mod8Kind.ODD)
         assert classify_div5(0) == Div5Classification()
+
+
+class TestResultConstructors:
+    """The frozen results check every field on every construction, however built."""
+
+    # One outcome of each shape: odd, 2, 4 and 6 mod 8; not divisible, and forms 1..4.
+    OUTCOMES = [classify_mod8(n) for n in (0, 2, 3, 11)] + [
+        classify_div5(n) for n in (0, 23, 9, 13, 99)]
+
+    def test_shapes(self):
+        assert [outcome.kind for outcome in self.OUTCOMES[:4]] == list(Mod8Kind)
+        assert [outcome.form for outcome in self.OUTCOMES[4:]] == [None, 1, 2, 3, 4]
+
+    def test_keyword_construction(self):
+        for outcome in self.OUTCOMES:
+            values = {item.name: getattr(outcome, item.name)
+                      for item in dataclasses.fields(outcome)}
+            assert type(outcome)(**values) == outcome
+        # 462 + 2 = (4*7 + 1) * 4**2, and 4*7 has three one bits.
+        assert Mod8Classification(kind=Mod8Kind.RESIDUE_6, witness=Mod8Witness(1, 2, 7, 1),
+                                  ones_count=3) == classify_mod8(462)
+        assert Div5Classification(witness=Div5Witness(0, 1), form=2) == classify_div5(9)
+
+    @pytest.mark.parametrize("outcome, changes, message", [
+        (classify_mod8(2), {"ones_count": 1}, "ones_count parity disagrees with the kind"),
+        (classify_mod8(2), {"ones_count": None},
+         "ones_count must be present exactly for kinds 2 and 6"),
+        (classify_mod8(3), {"ones_count": 0},
+         "ones_count must be present exactly for kinds 2 and 6"),
+        (classify_mod8(2), {"kind": Mod8Kind.ODD},
+         "witness must be present exactly for even kinds"),
+        (classify_mod8(3), {"witness": None}, "witness must be present exactly for even kinds"),
+        (classify_mod8(2), {"kind": "2"}, "kind must be a Mod8Kind, got '2'"),
+        (classify_mod8(2), {"ones_count": 2.0}, "ones_count must be an int, got 2.0"),
+        (classify_div5(9), {"witness": None}, "form and witness must be present together"),
+        (classify_div5(9), {"form": 5}, "form must be in 1..4, got 5"),
+        (classify_div5(9), {"form": 2.0}, "form must be an int, got 2.0"),
+    ], ids=["mod8_parity", "mod8_ones_missing", "mod8_ones_extra", "mod8_odd_witness",
+            "mod8_no_witness", "mod8_str_kind", "mod8_float_ones", "div5_no_witness",
+            "div5_form_5", "div5_float_form"])
+    def test_replace_reruns_every_check(self, outcome, changes, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            dataclasses.replace(outcome, **changes)
+
+    def test_replace_builds_a_consistent_result(self):
+        flipped = dataclasses.replace(classify_mod8(2), kind=Mod8Kind.RESIDUE_6, ones_count=1)
+        assert flipped.kind is Mod8Kind.RESIDUE_6 and flipped.witness == classify_mod8(2).witness
+        assert dataclasses.replace(classify_div5(9), form=3) == Div5Classification(
+            3, Div5Witness(0, 1))
+
+    def test_pickle_and_deepcopy_round_trips(self):
+        for outcome in self.OUTCOMES:
+            for copied in (pickle.loads(pickle.dumps(outcome)), copy.deepcopy(outcome),
+                           copy.copy(outcome)):
+                assert copied == outcome and hash(copied) == hash(outcome)
+                assert type(copied.witness) is type(outcome.witness)
+
+    def test_equality_and_hash_agree_with_hand_built_results(self):
+        for n in range(2000):
+            for outcome, built in ((classify_mod8(n), mod8_reference(n)),
+                                   (classify_div5(n), div5_reference(n))):
+                assert outcome == built and hash(outcome) == hash(built), n
+        assert len(set(self.OUTCOMES)) == len(self.OUTCOMES)
+        assert classify_mod8(2) != (Mod8Kind.RESIDUE_2, Mod8Witness(1, 2, 0, 0), 0)
+        assert classify_div5(9) != (2, Div5Witness(0, 1))
+
+    @pytest.mark.parametrize("outcome", OUTCOMES, ids=repr)
+    def test_every_field_is_frozen(self, outcome):
+        before = repr(outcome)
+        for item in dataclasses.fields(outcome):
+            with pytest.raises(FrozenInstanceError):
+                setattr(outcome, item.name, None)
+            with pytest.raises(FrozenInstanceError):
+                delattr(outcome, item.name)
+        assert repr(outcome) == before
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: Mod8Classification("odd"), "kind must be a Mod8Kind, got 'odd'"),
+        (lambda: Mod8Classification(None), "kind must be a Mod8Kind, got None"),
+        (lambda: Mod8Classification(Mod8Kind.RESIDUE_2, Mod8Witness(1, 2, 0, 0), True),
+         "ones_count must be an int, got True"),
+        (lambda: Mod8Classification(Mod8Kind.RESIDUE_6, Mod8Witness(3, 1, 0, 0), 1.0),
+         "ones_count must be an int, got 1.0"),
+        (lambda: Mod8Classification(Mod8Kind.RESIDUE_6, Mod8Witness(3, 1, 0, 0), np.int64(1)),
+         "ones_count must be an int, got "),
+        (lambda: Div5Classification(1.0, Div5Witness(0, 1)), "form must be an int, got 1.0"),
+        (lambda: Div5Classification(True, Div5Witness(0, 1)), "form must be an int, got True"),
+        (lambda: Div5Classification(np.int64(2), Div5Witness(0, 1)),
+         "form must be an int, got "),
+    ], ids=["mod8_str", "mod8_none", "ones_bool", "ones_float", "ones_numpy",
+            "div5_float", "div5_bool", "div5_numpy"])
+    def test_bad_arguments_are_value_errors(self, build, message):
+        with pytest.raises(ValueError, match=f"^{message}"):
+            build()
 
 
 class TestIntegerArguments:

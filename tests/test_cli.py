@@ -63,6 +63,22 @@ CLASSIFY_DIGESTS = {
     (10**12 - 2000, 8, "jsonl"): "997ff619677838780f2bbdc5f3d53416bab051a8d4fe0f6bb536f0e26238698b",
 }
 
+# sha256 of `classify 999999990000..1000000010000 --mod M --format F`, 20,000
+# rows across 10**12, recorded before the result classes got hand-written
+# constructors: the output bytes must not change with them.
+WIDE_CLASSIFY_DIGESTS = {
+    (2, "csv"): "81a99677961e2e4c80b303af426dc89e6ca4cbb65683e2e5f5c8c7a5ea4abf42",
+    (2, "jsonl"): "3cd9f2844b3b2834789d44c399414e6450e13653248d9081a899f0262878943a",
+    (3, "csv"): "b56a6f7bba6365567d571ec5edd6ff1c4b9433f8098691d9621f232edf3fabd2",
+    (3, "jsonl"): "f637e5c6db71601a1c7eb171778ab3871f5f57ad8218aa2e18ef50587c5ecfdc",
+    (4, "csv"): "c0a845b1888976ba2f13431a0a1f9d6c5573a0dd5ffd8ff0d0629b6412c13110",
+    (4, "jsonl"): "a33f8685f997ef415ea6f80b4874077a9d7cd5f1d50a1d16999bdcbaa6758de5",
+    (5, "csv"): "9c2f73b9ceb887e617874fb7e777c61a1349acb9a9a773b463b100a38a411572",
+    (5, "jsonl"): "46a7f73dfad38a2d5d5f8ca171d3bf0057adc982bd365373a69683a4819654f7",
+    (8, "csv"): "d1225d1541d761ac5d9fdedff81a88fee02754a8cbad2e19b03e0eaac66d8504",
+    (8, "jsonl"): "08b0fc0587c252edde4e6dc234d27ea44ed2725b0e024c2536089a18f336e689",
+}
+
 
 class TestCompute:
     def test_first_ten_values(self, capsys):
@@ -312,6 +328,14 @@ class TestClassify:
         assert code == 0
         digest = hashlib.sha256(out.encode("ascii")).hexdigest()
         assert digest == CLASSIFY_DIGESTS[lo, modulus, fmt]
+
+    @pytest.mark.parametrize("modulus, fmt", sorted(WIDE_CLASSIFY_DIGESTS))
+    def test_wide_output_bytes_are_pinned(self, capsys, modulus, fmt):
+        code, out, _ = run(capsys, "classify", "999999990000..1000000010000",
+                           "--mod", str(modulus), "--format", fmt)
+        assert code == 0
+        digest = hashlib.sha256(out.encode("ascii")).hexdigest()
+        assert digest == WIDE_CLASSIFY_DIGESTS[modulus, fmt]
 
     def test_unsupported_modulus(self, capsys):
         code, _, err = run(capsys, "classify", "3", "--mod", "7")
