@@ -34,18 +34,17 @@ again.  Both raise :class:`StateCapError`.  A modulus is served when it is below
 2**63 and each of its prime-power factors is; the factors are combined by
 the Chinese remainder theorem.
 
-``motzkin_mod_at(n, m)`` answers one index in O(log n) table steps.
-``motzkin_mod_indices(m, indices)`` answers an int64 index array, with one
-state array and one gather per base-p^k digit of the largest index;
-``motzkin_mod_array(m, count)`` runs it on 0, ..., count − 1.  A machine's
-``count_window(lo, hi, accepted)`` counts the n in [lo, hi) it maps to
-``accepted``, at any magnitude: it folds the digits above the low two
-once per B² indices and then reads each index with one lookup.
+``motzkin_mod_at(n, m)`` answers one index in O(log n) table steps, and
+``motzkin_mod_indices(m, indices)`` an int64 index array by the digit walk: a
+gather per base-p^k digit.  A machine's window walk, ``window(lo, hi)``, reads
+[lo, hi) at any magnitude: it folds the digits above the low two once per B²
+indices, then reads each index with one lookup.  ``motzkin_mod_array(m, count)``
+reads [0, count) with it, and ``count_window`` counts with it.
 """
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterator
 
 from .bulk import checked_indices
 # Density and engines call this parser as automaton._integer: the benchmark's
@@ -69,16 +68,14 @@ if TYPE_CHECKING:
 # by _one_digit_outputs before any matrix is built (under 5 ms mod 4093).
 MAX_TABLE_ENTRIES = 4096
 
-# A table over base p**k reads k base-p digits per gather; k is the largest
-# with states * p**k within this.  At 2**16 an int16 table is at most 128 KiB.
-# On a 2-vCPU Xeon a 2**20-entry one made a gather of 2**20 states 11 ms
-# against 6 ms, and a 2**20-index chunk mod 8, 16 or 25 at most 25 % faster.
+# A table over base p**k reads k base-p digits per step; k is the largest with
+# states * p**k within this, so an int16 table is at most 128 KiB.  On a 2-vCPU Xeon
+# a 2**20-entry one made a gather of 2**20 states 11 ms against 6 ms.
 MAX_GATHER_ENTRIES = 1 << 16
 
-# Indices one gather of :meth:`_Automaton.count_window` reads (whole rows of
-# B, at least one), which caps its memory at a 1 MiB bool array.  On a 2-vCPU
-# Xeon, 2**18-index windows near 2**62 took 0.3-0.5 ms for every label at
-# 2**18 or 2**20, and [0, 10**7) for t01 (base 3**9) 13 ms at 2**18 and 8 ms at 2**20.
+# Indices per block of :meth:`_Automaton.window` (whole rows of B, at least one), so
+# 8 MiB of int64 residues.  On a 2-vCPU Xeon, counts of 2**18 indices near 2**62 took
+# 0.3-0.5 ms per label at 2**18 or 2**20; [0, 10**7) for t01 (base 3**9) 13 ms and 8 ms.
 MAX_WINDOW_GATHER = 1 << 20
 
 # (p, a) -> why its build outgrew the cap.  ``lru_cache`` keeps no
@@ -116,39 +113,39 @@ class _Automaton:
             states = self.table[states, digits]
         return self.output[states]
 
-    def count_window(self, lo: int, hi: int, accepted: int) -> int:
-        """How many n with lo <= n < hi this machine maps to ``accepted``, for any 0 <= lo <= hi.
+    def window(self, lo: int, hi: int, values=None) -> "Iterator[np.ndarray]":
+        """``values[s]`` for the state s each n in [lo, hi) leads to, in blocks; 0 <= lo <= hi.
 
-        With B the base, n = d0 + B·d1 + B²·h is read d0 first, then d1,
-        then the digits of the high part h.  For each high part, h's digits
-        fold once into a map over all states (``upper = table[upper, digit]``),
-        and ``member[d1, s]`` says whether d1 and then h lead from s to an
-        accepted output.  Index n is then one lookup,
-        ``member[d1, table[0, d0]]``, taken for whole rows of one d1 at a
-        time, up to MAX_WINDOW_GATHER indices per gather.  Below B² (h = 0),
-        and below B (d1 = 0 too), this reads zeros above n's top digit, and
-        a zero digit keeps the output.  So every index is read, in
-        O(hi − lo) lookups plus O(states·(B + digits of h)) per high part,
-        and no index needs to fit int64.
+        ``values`` is per state, ``output`` by default.  With B the base, n = d0 + B·d1 + B²·h
+        is read d0, then d1, then the high part h, whose digits fold once per h into a map
+        over all states: ``member[d1, s]`` is the value d1 and then h lead to from s.  Index n
+        is one lookup, ``member[d1, table[0, d0]]``, for whole rows of one d1, up to
+        MAX_WINDOW_GATHER indices per block.  Zeros above n's top digit keep the output, so
+        h = 0 and d1 = 0 need no case.  O(hi − lo) lookups plus O(states·(B + digits of h))
+        per h; no index needs to fit int64.
         """
         import numpy as np
 
-        base, table = self.base, self.table
+        base, table, first = self.base, self.table, self.table[0]
         square, rows = base * base, max(1, MAX_WINDOW_GATHER // base)
-        hits, first = self.output == accepted, table[0]
-        total = 0
+        values = self.output if values is None else values
         for high in range(lo // square, -(-hi // square)):
             upper, rest = np.arange(len(table)), high
             while rest:
                 rest, digit = divmod(rest, base)
                 upper = table[upper, digit]
-            member = hits[upper][table.T]
+            member = values[upper][table.T]
             start, stop = max(lo - high * square, 0), min(hi - high * square, square)
             top_row = -(-stop // base)
             for row in range(start // base, top_row, rows):
                 block = member[row:min(row + rows, top_row), first].ravel()
-                total += int(np.count_nonzero(block[max(start - row * base, 0):stop - row * base]))
-        return total
+                yield block[max(start - row * base, 0):stop - row * base]
+
+    def count_window(self, lo: int, hi: int, accepted: int) -> int:
+        """How many n with lo <= n < hi this machine maps to ``accepted``, for any 0 <= lo <= hi."""
+        import numpy as np
+
+        return sum(int(np.count_nonzero(b)) for b in self.window(lo, hi, self.output == accepted))
 
 
 def _digit_matrices(p: int, a: int) -> "tuple[np.ndarray, np.ndarray]":
@@ -366,10 +363,17 @@ def motzkin_mod_indices(modulus: int, indices) -> "np.ndarray":
 
 
 def motzkin_mod_array(modulus: int, count: int) -> "np.ndarray":
-    """M(0), ..., M(count - 1) mod ``modulus`` as an int64 array."""
+    """M(0), ..., M(count - 1) mod ``modulus`` as an int64 array, read off the window walk."""
     import numpy as np
 
     count = _integer(count, "count")
     if count < 0:
         raise ValueError(f"count must be non-negative, got {count}")
-    return motzkin_mod_indices(modulus, np.arange(count, dtype=np.int64))
+
+    def walked(automaton: _Automaton) -> "np.ndarray":
+        residues, at = np.empty(count, dtype=np.int64), 0  # past int64 or memory: raises here
+        for block in automaton.window(0, count):
+            residues[at:at + block.size] = block
+            at += block.size
+        return residues
+    return _by_crt(modulus, walked)

@@ -1,8 +1,8 @@
-"""Index arrays as the array walks take them: :func:`checked_indices` makes
-values an int64 array, or raises ValueError unless each is an integer (any
-integer dtype) in [0, MAX_INDEX].  The walks run on the digit machines of
-:mod:`motzkinlab.automaton`.  numpy is imported by the check, not by the
-module.
+"""Scattered index arrays as the digit walk takes them: :func:`checked_indices`
+makes values an int64 array, or raises ValueError unless each is an integer
+(any integer dtype) in [0, MAX_INDEX].  The walk runs on the digit machines of
+:mod:`motzkinlab.automaton`; contiguous windows take the window walk, which
+needs no index array.  numpy is imported by the check, not by the module.
 """
 
 from typing import TYPE_CHECKING

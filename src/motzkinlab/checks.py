@@ -13,13 +13,12 @@ from dataclasses import dataclass
 from .classify import classify_div5, classify_mod3, classify_mod8
 from .engines import ensure_within_ceiling, iter_motzkin_mod
 
-SUPPORTED_MODULI = (2, 3, 4, 5, 8)
 # Mismatches a VerificationReport keeps, in index order.
 KEPT_MISMATCHES = 10
 
 
-# The predictor of each supported modulus.  Each one looks its classifier up
-# in this module when called, so a replaced ``checks.classify_*`` is the one
+# The supported moduli, each with its predictor.  Each one looks its classifier
+# up in this module when called, so a replaced ``checks.classify_*`` is the one
 # that runs.
 _PREDICTORS = {
     2: lambda n: classify_mod8(n).kind.residue_mod(2),
@@ -28,14 +27,16 @@ _PREDICTORS = {
     5: lambda n: 0 if classify_div5(n).divisible else None,
     8: lambda n: classify_mod8(n).kind.residue_mod(8),
 }
+SUPPORTED_MODULI = tuple(_PREDICTORS)
 
 
 def _predictor(modulus: int):
-    if modulus not in SUPPORTED_MODULI:
+    try:
+        return _PREDICTORS[modulus]
+    except (KeyError, TypeError):  # TypeError: an unhashable modulus
         raise ValueError(
             f"unsupported modulus {modulus}; expected one of {SUPPORTED_MODULI}"
-        )
-    return _PREDICTORS[modulus]
+        ) from None
 
 
 def predicted_residue(modulus: int, n: int) -> "int | None":

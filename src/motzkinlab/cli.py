@@ -44,26 +44,18 @@ _EPILOG = (
 )
 
 
-def _range_type(text: str) -> "tuple[int, int]":
-    if ".." in text:
-        left, right = text.split("..", 1)
-        lo, hi = _int_type(left), _int_type(right)
-    else:
-        lo = _int_type(text)
-        hi = lo + 1
-    if lo < 0 or hi < lo:
-        raise ValueError(f"bad range {text!r}")
-    return lo, hi
+# The longest refused argument an error message repeats, as its repr: argparse
+# echoes a value whole, and one within the int-parsing limit can have 4300
+# digits.  With compute's usage text at 80 columns, it stays under 300 bytes.
+_ECHOED = 24
 
 
-def _int_type(text: str) -> int:
-    """Every integer argument; past the interpreter's int-parsing digit limit, a short error.
+def _parsed(text: str) -> int:
+    """An integer argument; past the interpreter's int-parsing digit limit, a short error.
 
     A rejected value longer than the limit, once its sign, underscores and
     surrounding whitespace are dropped, gets the short error whether or not
-    it is all digits: argparse would otherwise echo every character of it.
-    Any other bad value stays a ValueError, which argparse reports under the
-    name of the type function: ``int`` here, ``range`` for a range.
+    it is all digits.  Any other bad value stays a ValueError.
     """
     try:
         return int(text)
@@ -74,6 +66,35 @@ def _int_type(text: str) -> int:
             raise argparse.ArgumentTypeError(
                 f"must have at most {limit} digits, got {len(digits)}") from None
         raise
+
+
+def _refusal(kind: str, text: str) -> Exception:
+    """A type function's error for ``text``: argparse's own, or a short one if it is long."""
+    if len(repr(text)) > _ECHOED:
+        return argparse.ArgumentTypeError(f"invalid {kind} value of {len(text)} characters")
+    return ValueError(text)  # argparse reports "invalid <kind> value: '<text>'"
+
+
+def _range_type(text: str) -> "tuple[int, int]":
+    try:
+        if ".." in text:
+            left, right = text.split("..", 1)
+            lo, hi = _parsed(left), _parsed(right)
+        else:
+            lo = _parsed(text)
+            hi = lo + 1
+    except ValueError:
+        raise _refusal("range", text) from None
+    if lo < 0 or hi < lo:
+        raise _refusal("range", text)
+    return lo, hi
+
+
+def _int_type(text: str) -> int:
+    try:
+        return _parsed(text)
+    except ValueError:
+        raise _refusal("int", text) from None
 
 
 _int_type.__name__ = "int"

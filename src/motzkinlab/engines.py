@@ -87,9 +87,8 @@ def resolve_ceiling() -> int:
     try:
         value = int(raw)
     except ValueError:
-        raise ValueError(
-            f"{CEILING_ENV_VAR} must be an integer, got {raw!r}"
-        ) from None
+        got = repr(raw) if len(raw) <= 40 else f"{len(raw)} characters"
+        raise ValueError(f"{CEILING_ENV_VAR} must be an integer, got {got}") from None
     if value < 0:
         raise ValueError(f"{CEILING_ENV_VAR} must be non-negative, got {value}")
     return value
@@ -99,9 +98,21 @@ def ensure_within_ceiling(requested: int, what: str = "index") -> None:
     """Raise :class:`ResourceLimitError` when ``requested`` exceeds the ceiling."""
     limit = resolve_ceiling()
     if requested > limit:
-        raise ResourceLimitError(
-            f"{what} {requested} exceeds the ceiling {limit} (raise it via {CEILING_ENV_VAR})"
-        )
+        raise ResourceLimitError(f"{what} {_shown(requested)} exceeds the ceiling "
+                                 f"{_shown(limit)} (raise it via {CEILING_ENV_VAR})")
+
+
+def _shown(value: int) -> str:
+    """``value`` as a refusal names it: in full up to 40 digits, else by its digit count.
+
+    No str() of a long value: past the int-parsing limit (4300 digits) it raises.
+    """
+    if value < 10**40:
+        return str(value)
+    digits = max(int(value.bit_length() * 0.30103) - 1, 40)  # below its digit count
+    while value >= 10**digits:
+        digits += 1
+    return f"of {digits} digits"
 
 
 def motzkin_exact(n: int) -> int:
@@ -160,8 +171,9 @@ def motzkin_exact_stream(count: int) -> "list[int]":
 def iter_motzkin_mod(modulus: int, count: int) -> Iterator[int]:
     """Yield M(0), ..., M(count - 1) mod ``modulus``, read off the digit automaton.
 
-    The whole stream is computed on the first ``next``, in O(count log count)
-    work; a modulus over the automaton's cap raises
+    The whole stream is read off the window walk on the first ``next``: one
+    lookup per index, plus one fold of the high digits per B² indices, B the
+    table's base.  A modulus over the automaton's cap raises
     :class:`~motzkinlab.automaton.StateCapError` there.
     """
     yield from motzkin_mod_array(modulus, count).tolist()

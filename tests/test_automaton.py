@@ -144,6 +144,88 @@ class TestPointQueries:
             motzkin_mod_array(9, 12).tolist()
 
 
+COMPOSITES = (10, 12, 24, 40)
+
+
+def window_walk(modulus: int, lo: int, hi: int) -> "list[int]":
+    """M(n) mod ``modulus`` for lo <= n < hi, from each prime-power factor's window walk."""
+    def walked(machine):
+        return np.concatenate([np.empty(0, dtype=np.int64), *machine.window(lo, hi)])
+    return np.asarray(automaton._by_crt(modulus, walked)).tolist()
+
+
+def factor_bases(modulus: int) -> "set[int]":
+    return {automaton._automaton(p, a).base for p, a in automaton._prime_powers(modulus)}
+
+
+class TestWindow:
+    """_Automaton.window folds each high part once; residues divides every index per digit."""
+
+    @pytest.mark.parametrize("modulus", [q for q, _, _ in SERVED] + list(COMPOSITES))
+    def test_matches_the_digit_walk(self, modulus):
+        windows = [(0, 0), (5, 5), (0, 1), (7, 8), (0, 3000), (MAX_INDEX - 3000, MAX_INDEX + 1)]
+        for base in factor_bases(modulus):
+            square = base * base
+            windows += [(base, base), (square + 3, square + 4), (base - 700, base + 900),
+                        (square - 2 * base - 3, square + base + 5),
+                        (2 * base * square - 2 * base - 3, 2 * base * square + base + 5)]
+        for lo, hi in windows:
+            lo = max(lo, 0)
+            expected = motzkin_mod_indices(modulus, np.arange(lo, hi, dtype=np.int64)).tolist()
+            assert window_walk(modulus, lo, hi) == expected, (lo, hi)
+            if lo == 0:
+                assert motzkin_mod_array(modulus, hi).tolist() == expected, hi
+        assert motzkin_mod_array(modulus, 0).dtype == np.int64
+
+    @pytest.mark.parametrize("modulus", [q for q, _, _ in SERVED] + list(COMPOSITES))
+    def test_matches_point_queries_far_out(self, modulus):
+        for lo, length in ((10**30, 400), (2**63 - 1500, 3000), (10**4000 + 7, 24)):
+            assert window_walk(modulus, lo, lo + length) == \
+                [motzkin_mod_at(n, modulus) for n in range(lo, lo + length)]
+
+    @pytest.mark.parametrize("p, a", [(2, 1), (2, 3), (3, 2), (7, 1)])
+    def test_blocks(self, p, a):
+        """At most MAX_WINDOW_GATHER indices each, in index order, over several high parts."""
+        machine = automaton._automaton(p, a)
+        base = machine.base
+        lo, hi = base * base - 3 * base - 1, base * base + 2 * automaton.MAX_WINDOW_GATHER + 5
+        blocks = list(machine.window(lo, hi))
+        assert len(blocks) >= 3
+        assert all(0 < block.size <= automaton.MAX_WINDOW_GATHER for block in blocks)
+        walked = np.concatenate(blocks)
+        assert np.array_equal(walked, machine.residues(np.arange(lo, hi, dtype=np.int64)))
+        # values is read per state: the state indices themselves name each n's state.
+        states = np.concatenate(list(machine.window(lo, hi, np.arange(len(machine.output)))))
+        assert np.array_equal(machine.output[states], walked)
+        accepted = machine.output[states[len(states) // 2]]
+        hits = machine.window(lo, hi, machine.output == accepted)
+        assert np.array_equal(np.concatenate(list(hits)), walked == accepted)
+        assert machine.count_window(lo, hi, accepted) == int(np.count_nonzero(walked == accepted))
+
+    def test_array_across_blocks(self):
+        count = 2 * automaton.MAX_WINDOW_GATHER + 12345
+        assert np.array_equal(motzkin_mod_array(72, count),
+                              motzkin_mod_indices(72, np.arange(count, dtype=np.int64)))
+
+    def test_counts_past_memory_are_refused_before_the_walk(self):
+        """Run with an address-space cap, so a walk that fills memory fails instead."""
+        pytest.importorskip("resource")
+        cap = 1 << 30
+        code = ("import resource\n"
+                f"resource.setrlimit(resource.RLIMIT_AS, ({cap}, {cap}))\n"
+                "from motzkinlab.automaton import motzkin_mod_array\n"
+                "for count in (2**62, 2**64):\n"
+                "    try:\n"
+                "        motzkin_mod_array(8, count)\n"
+                "    except ValueError as exc:\n"
+                "        print(type(exc).__name__)\n")
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"),
+                   OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert (done.returncode, done.stdout) == (0, "ValueError\nValueError\n"), done.stderr
+
+
 class TestDigitMatrices:
     @pytest.mark.parametrize("modulus, p, a", PRIME_POWERS_TO_125,
                              ids=[f"q={q}" for q, _, _ in PRIME_POWERS_TO_125])

@@ -573,6 +573,48 @@ class TestIntegerArguments:
         assert (code, out) == (2, "")
         assert err.splitlines()[-1] == f"motzkinlab {argv[0]}: error: {message}"
 
+    # Values that parse, at the default limit of 4300 digits, and that a later
+    # check refuses: the message names how long they are instead of echoing them.
+    @pytest.mark.parametrize("argv, code, message", [
+        (("compute", "{n}"), 3, "stream length of {d} digits"),
+        (("compute", "{n}", "--engine", "sum"), 3, "index of {d} digits"),
+        (("compute", "0..{n}", "--mod", "8"), 3, "stream length of {d} digits"),
+        (("verify", "{n}", "--mod", "8"), 3, "sweep length of {d} digits"),
+        (("classify", "{n}..0", "--mod", "8"), 2, "range: invalid range value of {r} characters"),
+        (("compute", "{n}..5"), 2, "range: invalid range value of {r} characters"),
+        (("compute", "{t}"), 3, "stream length of {e} digits"),
+        (("classify", "1..x{m}", "--mod", "8"), 2, "range: invalid range value of {r} characters"),
+        (("verify", "x{m}", "--mod", "8"), 2, "count: invalid int value of {d} characters"),
+    ], ids=["compute", "compute_sum", "compute_mod", "verify", "classify_reversed",
+            "compute_reversed", "compute_10^d", "classify_non_integer", "verify_non_integer"])
+    def test_long_refused_values_are_not_echoed(self, capsys, monkeypatch, argv, code, message):
+        monkeypatch.delenv(CEILING_ENV_VAR, raising=False)
+        monkeypatch.setenv("COLUMNS", "80")  # argparse wraps its usage text to the terminal
+        limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+        digits = limit or 4300
+        values = {"n": "7" * digits, "t": "9" * digits, "m": "7" * (digits - 1)}
+        got, out, err = run(capsys, *(arg.format(**values) for arg in argv))
+        assert (got, out) == (code, "")
+        assert len(err) < 300
+        message = message.format(d=digits, e=digits + 1, r=digits + 3)
+        assert err.splitlines()[-1] == (
+            f"error: {message} exceeds the ceiling {engines.DEFAULT_CEILING} "
+            f"(raise it via {CEILING_ENV_VAR})" if code == 3
+            else f"motzkinlab {argv[0]}: error: argument {message}")
+
+    @pytest.mark.parametrize("text, echoed", [
+        ("1234567890123456789..5", True), ("12345678901234567890..5", False),
+    ])
+    def test_short_values_are_echoed_within_300_bytes(self, capsys, monkeypatch, text, echoed):
+        """compute has the longest usage text; the longest echoed range still fits."""
+        monkeypatch.setenv("COLUMNS", "80")
+        code, out, err = run(capsys, "compute", text)
+        assert (code, out) == (2, "")
+        assert len(err) < 300
+        assert err.splitlines()[-1] == "motzkinlab compute: error: argument range: " + (
+            f"invalid range value: {text!r}" if echoed
+            else f"invalid range value of {len(text)} characters")
+
 
 class TestInternalError:
     """An exception inside a command is one ``error:`` line, never exit 1."""

@@ -101,6 +101,33 @@ class TestMotzkinExact:
         monkeypatch.delenv(CEILING_ENV_VAR)
         assert resolve_ceiling() == engines.DEFAULT_CEILING
 
+    @pytest.mark.parametrize("requested, shown", [
+        (10**39, str(10**39)), (10**40 - 1, "9" * 40), (10**40, "of 41 digits"),
+        (7 * 10**4299, "of 4300 digits"), (10**4300, "of 4301 digits"),
+        (10**9999, "of 10000 digits"),
+    ], ids=["10^39", "10^40-1", "10^40", "7*10^4299", "10^4300", "10^9999"])
+    def test_refusals_name_long_values_by_their_digits(self, monkeypatch, requested, shown):
+        """No refusal writes out a value of over 40 digits, or calls str() past 4300."""
+        monkeypatch.setenv(CEILING_ENV_VAR, "10")
+        with pytest.raises(ResourceLimitError,
+                           match=f"^sweep length {shown} exceeds the ceiling 10 "):
+            engines.ensure_within_ceiling(requested, "sweep length")
+
+    def test_a_long_ceiling_is_named_by_its_digits(self, monkeypatch):
+        monkeypatch.setenv(CEILING_ENV_VAR, "9" * 45)
+        with pytest.raises(ResourceLimitError,
+                           match="^index of 46 digits exceeds the ceiling of 45 digits "):
+            engines.ensure_within_ceiling(10**45, "index")
+
+    def test_a_long_malformed_ceiling_is_not_echoed(self, monkeypatch):
+        monkeypatch.setenv(CEILING_ENV_VAR, "7" * 5000)
+        with pytest.raises(ValueError,
+                           match=f"^{CEILING_ENV_VAR} must be an integer, got 5000 characters$"):
+            resolve_ceiling()
+        monkeypatch.setenv(CEILING_ENV_VAR, "x" * 40)
+        with pytest.raises(ValueError, match=f"got '{'x' * 40}'$"):
+            resolve_ceiling()
+
 
 class TestExactStream:
     def test_examples(self):
