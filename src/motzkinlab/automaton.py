@@ -292,13 +292,27 @@ def _t01_machine() -> _Automaton:
     return _digit_machine(3, True, lambda ok: [ok, ok, False], int)
 
 
+def _shown(value: int) -> str:
+    """``value`` as a refusal names it: in full up to 40 digits, else by its digit count.
+
+    No str() of a long value: past the int-parsing limit (4300 digits) it raises.
+    """
+    size = abs(value)
+    if size < 10**40:
+        return str(value)
+    digits = max(int(size.bit_length() * 0.30103) - 1, 40)  # below its digit count
+    while size >= 10**digits:
+        digits += 1
+    return f"of {digits} digits"
+
+
 def _prime_powers(modulus: int) -> "list[tuple[int, int]]":
     """[(p, a), ...] with modulus = the product of the p**a, each past the pre-check."""
     modulus = _integer(modulus, "modulus")
     if modulus < 2:
         raise ValueError(f"modulus must be at least 2, got {modulus}")
     if modulus >= 2**63:
-        raise StateCapError(f"modulus {modulus} is not below 2**63")
+        raise StateCapError(f"modulus {_shown(modulus)} is not below 2**63")
     factors, rest = [], modulus
     for p in range(2, MAX_TABLE_ENTRIES + 1):
         if rest == 1:
@@ -324,11 +338,12 @@ def _by_crt(modulus: int, residues_of):
     """Combine ``residues_of(automaton)`` over the prime powers of ``modulus``.
 
     Works on ints and on int64 arrays alike: every intermediate stays below
-    the modulus or below the square of one factor, both under 2**63.
+    the modulus or below the square of one factor, both under 2**63.  The
+    first factor's residues are the start, so a prime power is read as is.
     """
-    automata = [(p**a, _automaton(p, a)) for p, a in _prime_powers(modulus)]
-    residue, combined = 0, 1
-    for factor, automaton in automata:
+    (combined, first), *rest = [(p**a, _automaton(p, a)) for p, a in _prime_powers(modulus)]
+    residue = residues_of(first)
+    for factor, automaton in rest:
         lift = (residues_of(automaton) - residue % factor) * pow(combined, -1, factor) % factor
         residue = residue + combined * lift
         combined *= factor

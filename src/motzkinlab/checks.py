@@ -10,6 +10,7 @@ actual residues.
 
 from dataclasses import dataclass
 
+from .automaton import _shown
 from .classify import classify_div5, classify_mod3, classify_mod8
 from .engines import ensure_within_ceiling, iter_motzkin_mod
 
@@ -34,8 +35,9 @@ def _predictor(modulus: int):
     try:
         return _PREDICTORS[modulus]
     except (KeyError, TypeError):  # TypeError: an unhashable modulus
+        shown = _shown(modulus) if isinstance(modulus, int) else modulus
         raise ValueError(
-            f"unsupported modulus {modulus}; expected one of {SUPPORTED_MODULI}"
+            f"unsupported modulus {shown}; expected one of {SUPPORTED_MODULI}"
         ) from None
 
 

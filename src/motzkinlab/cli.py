@@ -8,7 +8,10 @@ unopenable ``--out`` or a malformed ``MOTZKINLAB_CEILING``), 3 resource
 limit exceeded (also a closed stdout, a failed write other than a closed
 pipe, or running out of memory), 4 internal error (any other exception: a
 bug, never a verdict on the classifiers).  A usage, resource or internal
-error is one ``error:`` line on stderr.
+error is one ``error:`` line on stderr.  A usage error repeats a refused
+value only up to ``_ECHOED`` characters of its repr, and names a longer one
+by its length: one hook, ``_Parser.error``, does this for every message
+argparse writes (type, choice and unrecognized-argument refusals alike).
 """
 
 import argparse
@@ -18,6 +21,7 @@ import functools
 import itertools
 import json
 import os
+import re
 import sys
 from contextlib import contextmanager, nullcontext
 from json.encoder import encode_basestring_ascii
@@ -44,10 +48,34 @@ _EPILOG = (
 )
 
 
-# The longest refused argument an error message repeats, as its repr: argparse
+# The longest refused value, as its repr, that a usage error repeats: argparse
 # echoes a value whole, and one within the int-parsing limit can have 4300
 # digits.  With compute's usage text at 80 columns, it stays under 300 bytes.
 _ECHOED = 24
+
+# A value repeated in a message, after ": " or a blank: a quoted repr, or a
+# run without blanks too long to echo.
+_REPEATED = re.compile(r""":? ('(?:[^'\\]|\\.)*'|"(?:[^"\\]|\\.)*")"""
+                       r"|:? (\S{%d,})" % (_ECHOED + 1))
+
+
+def _bounded(message: str) -> str:
+    """``message`` with each repeated value longer than ``_ECHOED`` named by its length."""
+    def named(match) -> str:
+        quoted, bare = match.groups()
+        if bare:
+            return f" of {len(bare)} characters"
+        if len(quoted) > _ECHOED:
+            return f" of {len(quoted) - 2} characters"
+        return match[0]
+    return _REPEATED.sub(named, message)
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports every usage error, its subcommands' too, through :func:`_bounded`."""
+
+    def error(self, message):
+        super().error(_bounded(message))
 
 
 def _parsed(text: str) -> int:
@@ -68,36 +96,19 @@ def _parsed(text: str) -> int:
         raise
 
 
-def _refusal(kind: str, text: str) -> Exception:
-    """A type function's error for ``text``: argparse's own, or a short one if it is long."""
-    if len(repr(text)) > _ECHOED:
-        return argparse.ArgumentTypeError(f"invalid {kind} value of {len(text)} characters")
-    return ValueError(text)  # argparse reports "invalid <kind> value: '<text>'"
-
-
 def _range_type(text: str) -> "tuple[int, int]":
-    try:
-        if ".." in text:
-            left, right = text.split("..", 1)
-            lo, hi = _parsed(left), _parsed(right)
-        else:
-            lo = _parsed(text)
-            hi = lo + 1
-    except ValueError:
-        raise _refusal("range", text) from None
+    if ".." in text:
+        left, right = text.split("..", 1)
+        lo, hi = _parsed(left), _parsed(right)
+    else:
+        lo = _parsed(text)
+        hi = lo + 1
     if lo < 0 or hi < lo:
-        raise _refusal("range", text)
+        raise ValueError(text)
     return lo, hi
 
 
-def _int_type(text: str) -> int:
-    try:
-        return _parsed(text)
-    except ValueError:
-        raise _refusal("int", text) from None
-
-
-_int_type.__name__ = "int"
+_parsed.__name__ = "int"
 _range_type.__name__ = "range"
 
 
@@ -319,7 +330,7 @@ def _cmd_density(args):
         try:
             limits = [(args.selector, density.density_limit(args.selector))]
         except ValueError as exc:
-            raise _UsageError(str(exc)) from None
+            raise _UsageError(_bounded(str(exc))) from None
     if args.selector == "table" or args.closed:
         return _table(("label", "limit", "limit_decimal"),
                       [(label, _fraction_str(value), _decimal(value)) for label, value in limits])
@@ -347,7 +358,7 @@ def _cmd_density(args):
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="motzkinlab",
         description="Motzkin numbers modulo small moduli: values, digit "
                     "classifications, verification sweeps, densities.",
@@ -359,7 +370,7 @@ def _build_parser() -> argparse.ArgumentParser:
                              epilog=_EPILOG)
     compute.add_argument("range", type=_range_type,
                          help="index range a..b (half-open) or single index")
-    compute.add_argument("--mod", type=_int_type, default=None,
+    compute.add_argument("--mod", type=_parsed, default=None,
                          help="reduce values modulo this integer (>= 2)")
     compute.add_argument("--engine", choices=("sum", "holonomic", "convolution"),
                          default=None,
@@ -372,7 +383,7 @@ def _build_parser() -> argparse.ArgumentParser:
                               epilog=_EPILOG)
     classify.add_argument("range", type=_range_type,
                           help="index range a..b (half-open) or single index")
-    classify.add_argument("--mod", type=_int_type, choices=checks.SUPPORTED_MODULI,
+    classify.add_argument("--mod", type=_parsed, choices=checks.SUPPORTED_MODULI,
                           required=True, help="modulus to classify against")
     _add_output_options(classify)
     classify.set_defaults(func=_cmd_classify)
@@ -380,9 +391,9 @@ def _build_parser() -> argparse.ArgumentParser:
     verify = sub.add_parser("verify",
                             help="compare classifiers with engine residues",
                             epilog=_EPILOG)
-    verify.add_argument("count", type=_int_type,
+    verify.add_argument("count", type=_parsed,
                         help="check all indices n < count")
-    verify.add_argument("--mod", type=_int_type, choices=checks.SUPPORTED_MODULI,
+    verify.add_argument("--mod", type=_parsed, choices=checks.SUPPORTED_MODULI,
                         required=True, help="modulus to verify")
     _add_output_options(verify)
     verify.set_defaults(func=_cmd_verify)
@@ -392,7 +403,7 @@ def _build_parser() -> argparse.ArgumentParser:
                           epilog=_EPILOG)
     dens.add_argument("selector",
                       help="class label (see 'density table'), or 'table'")
-    dens.add_argument("-N", "--horizon", type=_int_type, default=None,
+    dens.add_argument("-N", "--horizon", type=_parsed, default=None,
                       help="count class members among n < N")
     dens.add_argument("--closed", action="store_true",
                       help="emit only the exact limit")

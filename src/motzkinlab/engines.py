@@ -98,21 +98,8 @@ def ensure_within_ceiling(requested: int, what: str = "index") -> None:
     """Raise :class:`ResourceLimitError` when ``requested`` exceeds the ceiling."""
     limit = resolve_ceiling()
     if requested > limit:
-        raise ResourceLimitError(f"{what} {_shown(requested)} exceeds the ceiling "
-                                 f"{_shown(limit)} (raise it via {CEILING_ENV_VAR})")
-
-
-def _shown(value: int) -> str:
-    """``value`` as a refusal names it: in full up to 40 digits, else by its digit count.
-
-    No str() of a long value: past the int-parsing limit (4300 digits) it raises.
-    """
-    if value < 10**40:
-        return str(value)
-    digits = max(int(value.bit_length() * 0.30103) - 1, 40)  # below its digit count
-    while value >= 10**digits:
-        digits += 1
-    return f"of {digits} digits"
+        raise ResourceLimitError(f"{what} {automaton._shown(requested)} exceeds the ceiling "
+                                 f"{automaton._shown(limit)} (raise it via {CEILING_ENV_VAR})")
 
 
 def motzkin_exact(n: int) -> int:

@@ -289,6 +289,17 @@ class TestStateCap:
         assert time.perf_counter() - started < 1.0
         assert issubclass(StateCapError, ValueError)
 
+    @pytest.mark.parametrize("modulus, shown", [
+        (2**63, str(2**63)), (10**40, "of 41 digits"), (10**5000, "of 5001 digits"),
+    ], ids=["2^63", "10^40", "10^5000"])
+    def test_a_modulus_past_int64_is_named_by_its_digits(self, modulus, shown):
+        """No str() of the modulus: past 4300 digits it would raise a plain ValueError."""
+        message = f"^modulus {shown} is not below 2\\*\\*63$"
+        with pytest.raises(StateCapError, match=message):
+            motzkin_mod_at(0, modulus)
+        with pytest.raises(StateCapError, match=message):
+            motzkin_mod_array(modulus, 5)
+
     @pytest.mark.parametrize("modulus", [64, 81, 97])
     def test_a_refused_build_is_not_repeated(self, monkeypatch, modulus):
         with pytest.raises(StateCapError) as first:

@@ -59,3 +59,13 @@ def test_unsupported_moduli_are_refused():
             checks.predicted_residue(modulus, 3)
         with pytest.raises(ValueError, match="unsupported modulus"):
             checks.verify_classifiers(modulus, 3)
+
+
+@pytest.mark.parametrize("modulus, shown", [
+    (10**40, "of 41 digits"), (10**5000, "of 5001 digits"), (-10**5000, "of 5001 digits"),
+], ids=["10^40", "10^5000", "-10^5000"])
+def test_a_long_unsupported_modulus_is_named_by_its_digits(modulus, shown):
+    with pytest.raises(ValueError, match=f"^unsupported modulus {shown}; "):
+        checks.verify_classifiers(modulus, 5)
+    with pytest.raises(ValueError, match=f"^unsupported modulus {shown}; "):
+        checks.predicted_residue(modulus, 3)

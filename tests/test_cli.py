@@ -17,6 +17,12 @@ from motzkinlab.cli import _CLASSIFY_COLUMNS, _CLASSIFY_ROWS, _emit, _unlimited_
 from motzkinlab.engines import CEILING_ENV_VAR, iter_motzkin_exact, motzkin_mod_stream
 
 
+@pytest.fixture(autouse=True)
+def terminal_width(monkeypatch):
+    """argparse wraps its usage text to ``COLUMNS``: every stderr bound here is at 80."""
+    monkeypatch.setenv("COLUMNS", "80")
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -589,7 +595,6 @@ class TestIntegerArguments:
             "compute_reversed", "compute_10^d", "classify_non_integer", "verify_non_integer"])
     def test_long_refused_values_are_not_echoed(self, capsys, monkeypatch, argv, code, message):
         monkeypatch.delenv(CEILING_ENV_VAR, raising=False)
-        monkeypatch.setenv("COLUMNS", "80")  # argparse wraps its usage text to the terminal
         limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
         digits = limit or 4300
         values = {"n": "7" * digits, "t": "9" * digits, "m": "7" * (digits - 1)}
@@ -605,15 +610,47 @@ class TestIntegerArguments:
     @pytest.mark.parametrize("text, echoed", [
         ("1234567890123456789..5", True), ("12345678901234567890..5", False),
     ])
-    def test_short_values_are_echoed_within_300_bytes(self, capsys, monkeypatch, text, echoed):
+    def test_short_values_are_echoed_within_300_bytes(self, capsys, text, echoed):
         """compute has the longest usage text; the longest echoed range still fits."""
-        monkeypatch.setenv("COLUMNS", "80")
         code, out, err = run(capsys, "compute", text)
         assert (code, out) == (2, "")
         assert len(err) < 300
         assert err.splitlines()[-1] == "motzkinlab compute: error: argument range: " + (
             f"invalid range value: {text!r}" if echoed
             else f"invalid range value of {len(text)} characters")
+
+    # Values no type function refuses: argparse's choice check, its count of
+    # arguments, or density's selector lookup does.  A long one is named by its
+    # length, so stderr grows by a few bytes over the one-character value 7.
+    @pytest.mark.parametrize("argv", [
+        ("classify", "0..5", "--mod", "{v}"),
+        ("verify", "10", "--mod", "{v}"),
+        ("density", "{v}"),
+        ("density", "table", "{v}"),
+        ("compute", "0..5", "--format", "{v}"),
+        ("compute", "0..5", "--engine", "{v}"),
+        ("{v}",),
+    ], ids=["classify_mod", "verify_mod", "density_selector", "density_table_extra",
+            "compute_format", "compute_engine", "command"])
+    def test_long_choices_and_extras_are_not_echoed(self, capsys, argv):
+        short = run(capsys, *(arg.format(v="7") for arg in argv))
+        code, out, err = run(capsys, *(arg.format(v="7" * 4000) for arg in argv))
+        assert (code, out) == (short[0], short[1]) == (2, "")
+        assert len(err.encode()) <= len(short[2].encode()) + 40
+        assert " of 4000 characters" in err.splitlines()[-1]
+
+    @pytest.mark.parametrize("modulus, echoed", [("7", True), ("7" * 24, True), ("7" * 25, False)])
+    def test_short_choices_are_echoed(self, capsys, modulus, echoed):
+        code, out, err = run(capsys, "classify", "3", "--mod", modulus)
+        assert (code, out) == (2, "")
+        named = f": {modulus}" if echoed else f" of {len(modulus)} characters"
+        assert err.splitlines()[-1].endswith(f"invalid choice{named} (choose from 2, 3, 4, 5, 8)")
+
+    def test_every_long_extra_argument_is_named_by_its_length(self, capsys):
+        code, out, err = run(capsys, "density", "table", "5", "x" * 30, "'" + "y" * 30)
+        assert (code, out) == (2, "")
+        assert err.splitlines()[-1] == ("motzkinlab: error: unrecognized arguments: 5 "
+                                        "of 30 characters of 31 characters")
 
 
 class TestInternalError:

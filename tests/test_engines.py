@@ -364,6 +364,11 @@ class TestCrossValidation:
         assert report.first_mismatch == 0
         assert [n for n, _, _ in report.first_mismatches] == [0, 1, 2, 3, 4]
 
+    def test_a_modulus_past_the_digit_limit_leaves_the_automaton_out(self):
+        report = engines.cross_validate_engines(10**5000, 2)
+        assert report.consistent
+        assert report.checked == 2
+
     def test_checked_counts_the_indices_compared(self, monkeypatch):
         # A stream wrong at every index: the comparison stops at index 4,
         # once it holds five disagreements, and has compared five indices.
